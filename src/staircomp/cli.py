@@ -1,7 +1,7 @@
 """Command-line interface: coefficient tables, verification runs, totals.
 
 Exit codes: 0 on success, 1 when a verification detects a mismatch, 2 for
-usage errors.  The json and csv formats are stable for machine parsing;
+usage errors, an output path that cannot be written included.  The json and csv formats are stable for machine parsing;
 the text format is aligned for humans and makes no stability promise.
 """
 
@@ -12,11 +12,10 @@ import csv
 import io
 import json
 import sys
-from math import comb
 from typing import Callable
 
-from . import genfun, oracle
-from .determinants import inner_block_det, numerator_det, denominator_det, top_block_det
+from . import genfun, oracle, verify
+from .determinants import denominator_det, numerator_det
 from .series import DEFAULT_TRUNC, TriSeries
 
 VERIFY_TRUNC = 14
@@ -53,15 +52,15 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--format", choices=("json", "csv", "text"), default="text")
     table.add_argument("--output", help="write to this path instead of stdout")
 
-    verify = sub.add_parser(
+    check = sub.add_parser(
         "verify",
         help="run the cross-checks between formulas and brute-force enumeration",
     )
-    verify.add_argument("--m", type=_positive_int, required=True)
-    verify.add_argument("--max-n", type=_positive_int, required=True, help="largest total covered by enumeration")
-    verify.add_argument("--trunc", type=_positive_int, help="series truncation order (default max(14, max-n))")
-    verify.add_argument("--enum-cap", type=_positive_int, default=oracle.MAX_ENUM_N,
-                        help="enumeration cap override")
+    check.add_argument("--m", type=_positive_int, required=True)
+    check.add_argument("--max-n", type=_positive_int, required=True, help="largest total covered by enumeration")
+    check.add_argument("--trunc", type=_positive_int, help="series truncation order (default max(14, max-n))")
+    check.add_argument("--enum-cap", type=_positive_int, default=oracle.MAX_ENUM_N,
+                       help="enumeration cap override")
 
     corollary = sub.add_parser(
         "corollary",
@@ -139,20 +138,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     trunc = _table_trunc(args.trunc, args.max_n, default=VERIFY_TRUNC)
     failures = 0
-    for name, check in (
-        ("closed form vs enumeration", _check_gf_vs_oracle),
-        ("Cramer path vs closed form", _check_cramer),
-        ("block determinant recurrences vs closed forms", _check_block_dets),
-        ("window totals: formula vs enumeration", _check_totals),
-        ("q = 1 marginals", _check_marginals),
-    ):
+    for name, check in verify.CHECKS:
         problem = check(args.m, args.max_n, trunc, args.enum_cap)
         if problem is None:
             print(f"PASS {name}")
         else:
             failures += 1
             print(f"FAIL {name}: {problem}")
-    print(f"{5 - failures}/5 checks passed (m={args.m}, max_n={args.max_n}, trunc={trunc})")
+    total = len(verify.CHECKS)
+    print(f"{total - failures}/{total} checks passed (m={args.m}, max_n={args.max_n}, trunc={trunc})")
     return 1 if failures else 0
 
 
@@ -197,81 +191,6 @@ def cmd_series_dump(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- verify checks ------------------------------------------------------------
-# Each returns None when the check holds, or a short description of the
-# first disagreement found.
-
-
-def _check_gf_vs_oracle(m, max_n, trunc, cap):
-    gf = genfun.staircase_gf(m, trunc)
-    for a in range(1, max_n + 1):
-        hist = oracle.staircase_histogram(a, m, cap=cap)
-        got = {(b, s): c for (aa, b, s), c in gf.terms() if aa == a}
-        problem = _first_diff(a, got, hist.counts)
-        if problem:
-            return problem
-    return None
-
-
-def _check_cramer(m, max_n, trunc, cap):
-    closed = genfun.staircase_gf(m, trunc)
-    cramer = genfun.staircase_gf_cramer(m, trunc)
-    if closed == cramer:
-        return None
-    left = dict(closed.terms())
-    right = dict(cramer.terms())
-    for key in sorted(set(left) | set(right)):
-        if left.get(key, 0) != right.get(key, 0):
-            a, b, s = key
-            return (
-                f"first difference at (a={a}, b={b}, s={s}): "
-                f"closed {left.get(key, 0)} vs Cramer {right.get(key, 0)}"
-            )
-    return "series disagree"
-
-
-def _check_block_dets(m, max_n, trunc, cap):
-    for k in range(0, m + 2):
-        if top_block_det(k, trunc, "closed") != top_block_det(k, trunc, "recurrence"):
-            return f"top block size {k}: closed form differs from recurrence"
-    for k in range(-1, m + 2):
-        if inner_block_det(k, trunc, "closed") != inner_block_det(k, trunc, "recurrence"):
-            return f"inner block size {k}: closed form differs from recurrence"
-    return None
-
-
-def _check_totals(m, max_n, trunc, cap):
-    for n in range(1, max_n + 1):
-        for parts in range(1, n + 1):
-            formula = genfun.total_staircases(n, parts, m)
-            brute = oracle.total_staircases(n, parts, m, cap=cap)
-            if formula != brute:
-                return (
-                    f"n={n}, parts={parts}: formula {formula} vs enumeration {brute}"
-                )
-    return None
-
-
-def _check_marginals(m, max_n, trunc, cap):
-    gf = genfun.gf_at_q1(m, trunc)
-    for a in range(1, trunc + 1):
-        for b in range(0, trunc + 2):
-            want = comb(a - 1, b - 1) if 1 <= b <= a else 0
-            got = gf.coeff(a, b, 0)
-            if got != want:
-                return f"(a={a}, b={b}): marginal {got}, binomial {want}"
-    return None
-
-
-def _first_diff(a, got, want):
-    for key in sorted(set(got) | set(want)):
-        g, w = got.get(key, 0), want.get(key, 0)
-        if g != w:
-            b, s = key
-            return f"(a={a}, b={b}, s={s}): series {g} vs enumeration {w}"
-    return None
-
-
 # -- output helpers -----------------------------------------------------------
 
 
@@ -308,8 +227,11 @@ def _render_rows(rows, header, fmt):
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

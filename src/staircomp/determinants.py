@@ -13,7 +13,10 @@ blocks anchored at the top-left corner of the numerator matrix, and
 column.  Each family satisfies a three-term recurrence in the block size
 and has an explicit closed form; both routes are implemented, and
 ``det_division_free`` evaluates determinants directly (ring operations
-only, no division) to validate the reductions.
+only, no division) to validate the reductions.  The two families differ
+by an index shift: they share one recurrence, seeded differently, and
+the inner closed form is the top one closed off by the same term that
+closes the master series' denominator.
 """
 
 from __future__ import annotations
@@ -190,23 +193,9 @@ def top_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") -> T
     if k < 0:
         raise ValueError(f"block size must be >= 0, got {k}")
     _check_mode(mode)
-    _x, y, _q, geom, z = _atoms(trunc)
     if mode == "closed":
-        u = y * geom
-        acc = zero(trunc)
-        power = one(trunc)
-        for j in range(k):
-            acc = acc + monomial(k * j - comb(j, 2), 0, 0, 1, trunc) * power
-            power = power * u
-        return acc
-    if k == 0:
-        return zero(trunc)
-    prev2, prev = zero(trunc), one(trunc)
-    for i in range(2, k + 1):
-        step = monomial(i - 1, 1, 0, 1, trunc)
-        current = (one(trunc) - step * (one(trunc) + z)) * prev + step * z * prev2
-        prev2, prev = prev, current
-    return prev
+        return _top_sum(k, _ratio(trunc))
+    return _recurrence(k - 1, zero(trunc), one(trunc))
 
 
 def inner_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") -> TriSeries:
@@ -216,24 +205,67 @@ def inner_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") ->
                  + ((1-x-xy)/(1-x)) * sum_{j=0}^{k} x^((k+1)j - j(j-1)/2) (y/(1-x))^j
     recurrence:  d_k = (1 - x^k y (1+z)) d_{k-1} + x^k y z d_{k-2}
                  from d_{-1} = 1 and d_0 = 1.
+
+    The closed form is x^C(k+2,2) u^(k+1) + psi * top_block_det(k+1) with
+    u = y/(1-x) and psi = (1-x-xy)/(1-x).
     """
     if k < -1:
         raise ValueError(f"block size must be >= -1, got {k}")
     _check_mode(mode)
-    x, y, _q, geom, z = _atoms(trunc)
     if mode == "closed":
-        u = y * geom
-        acc = zero(trunc)
-        power = one(trunc)
-        for j in range(k + 1):
-            acc = acc + monomial((k + 1) * j - comb(j, 2), 0, 0, 1, trunc) * power
-            power = power * u
-        psi = (one(trunc) - x - x * y) * geom
-        return monomial(comb(k + 2, 2), 0, 0, 1, trunc) * u ** (k + 1) + psi * acc
-    prev2, prev = one(trunc), one(trunc)
-    if k == -1:
-        return prev2
-    for i in range(1, k + 1):
+        u = _ratio(trunc)
+        return _closing_term(k + 1, _top_sum(k + 1, u), u)
+    return _recurrence(k, one(trunc), one(trunc))
+
+
+def _ratio(trunc: int) -> TriSeries:
+    """u = y/(1-x), the variable of the closed forms' sums."""
+    x, y, _q = variables(trunc)
+    return y * (one(trunc) - x).inverse()
+
+
+def _top_sum(m: int, u: TriSeries) -> TriSeries:
+    """k_m = sum_{j<m} x^(mj - C(j,2)) u^j, the closed form of the top
+    block of size m."""
+    trunc = u.trunc
+    acc = zero(trunc)
+    power = one(trunc)
+    for j in range(m):
+        acc = acc + monomial(m * j - comb(j, 2), 0, 0, 1, trunc) * power
+        power = power * u
+    return acc
+
+
+def _closing_term(m: int, body: TriSeries, u: TriSeries,
+                  weight: TriSeries | None = None) -> TriSeries:
+    """weight * x^C(m+1,2) u^m + psi * body, where psi = (1-x-xy)/(1-x)
+    is written as 1 - x u.
+
+    With body = numerator_det(m) and weight = 1 - q this is the
+    denominator of the master series; with body = k_m and no weight it
+    is the inner block of size m - 1.
+    """
+    trunc = u.trunc
+    lead = monomial(comb(m + 1, 2), 0, 0, 1, trunc) * u ** m
+    if weight is not None:
+        lead = weight * lead
+    psi = one(trunc) - monomial(1, 0, 0, 1, trunc) * u
+    return lead + psi * body
+
+
+def _recurrence(n: int, before: TriSeries, start: TriSeries) -> TriSeries:
+    """e_n of e_i = (1 - x^i y (1+z)) e_{i-1} + x^i y z e_{i-2} for n >= -1,
+    seeded with e_{-1} = before and e_0 = start.
+
+    The top blocks are d_k = e_{k-1} from (0, 1), the inner blocks
+    d_k = e_k from (1, 1).
+    """
+    if n == -1:
+        return before
+    trunc = start.trunc
+    *_rest, z = _atoms(trunc)
+    prev2, prev = before, start
+    for i in range(1, n + 1):
         step = monomial(i, 1, 0, 1, trunc)
         current = (one(trunc) - step * (one(trunc) + z)) * prev + step * z * prev2
         prev2, prev = prev, current

@@ -11,6 +11,8 @@ from __future__ import annotations
 from math import comb
 
 from .determinants import (
+    _closing_term,
+    _ratio,
     build_system,
     denominator_det,
     det_division_free,
@@ -33,12 +35,9 @@ def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     series inversion.
     """
     _validate(m, trunc)
-    x, y, q = variables(trunc)
-    geom = (one(trunc) - x).inverse()
+    q = variables(trunc)[2]
     numerator = numerator_det(m, trunc)
-    lead = monomial(comb(m + 1, 2), 0, 0, 1, trunc) * (y * geom) ** m
-    psi = (one(trunc) - x - x * y) * geom
-    denominator = (one(trunc) - q) * lead + psi * numerator
+    denominator = _closing_term(m, numerator, _ratio(trunc), weight=one(trunc) - q)
     return numerator * denominator.inverse()
 
 

@@ -29,7 +29,7 @@ class Composition:
 
     def __post_init__(self):
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
 
     @property
@@ -117,11 +117,14 @@ def count_staircases(composition, m: int) -> int:
     """Number of staircase windows of length m inside the composition.
 
     Windows at every start index are tested, so occurrences may overlap;
-    a composition with fewer than m parts contains none.
+    a composition with fewer than m parts contains none.  A plain sequence
+    of parts is validated as a Composition first.
     """
     if m < 1:
         raise ValueError(f"pattern length must be a positive integer, got {m}")
-    return _window_count(tuple(composition), m)
+    if not isinstance(composition, Composition):
+        composition = Composition(tuple(composition))
+    return _window_count(composition.parts, m)
 
 
 def staircase_histogram(a: int, m: int, cap: int = MAX_ENUM_N) -> Histogram:

@@ -33,7 +33,8 @@ class TriSeries:
     as a map from (x_deg, y_deg, q_deg) to a nonzero int.  Series with
     different truncation orders compare coefficient-wise up to the smaller
     order; binary operations truncate their result to the smaller of the
-    operands' orders.  Plain ints coerce to constant series.
+    operands' orders.  Coefficients must be plain ints (bools are
+    rejected too), and plain ints coerce to constant series.
     """
 
     __slots__ = ("trunc", "_terms", "_slice_cache")
@@ -47,6 +48,8 @@ class TriSeries:
             for (a, b, s), c in items:
                 if a < 0 or b < 0 or s < 0:
                     raise ValueError(f"negative exponents in term ({a}, {b}, {s})")
+                if type(c) is not int:
+                    raise TypeError(f"coefficients must be int, got {c!r} at ({a}, {b}, {s})")
                 if c and a <= trunc:
                     key = (a, b, s)
                     acc[key] = acc.get(key, 0) + c
@@ -259,7 +262,7 @@ class TriSeries:
     def _coerce(self, other) -> TriSeries | None:
         if isinstance(other, TriSeries):
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             return TriSeries(self.trunc, {(0, 0, 0): other})
         return None
 

@@ -2,7 +2,8 @@
 
 Each criterion prints one PASS/FAIL line outside pytest's capture, so the
 lines always reach the console; all comparisons are exact, there are no
-tolerances anywhere.
+tolerances anywhere.  Criteria 2 to 6 run the checks of ``staircomp
+verify`` (``staircomp.verify``) at the gate's own sizes.
 """
 
 from contextlib import contextmanager
@@ -11,7 +12,7 @@ from math import comb
 
 import pytest
 
-from staircomp import genfun, oracle
+from staircomp import genfun, oracle, verify
 from staircomp.determinants import (
     det_division_free,
     inner_block_det,
@@ -42,10 +43,6 @@ def master_series(m, trunc):
     return genfun.staircase_gf(m, trunc)
 
 
-def _table(gf, a):
-    return {(b, s): c for (aa, b, s), c in gf.terms() if aa == a}
-
-
 def test_criterion_1_window_counts_of_the_reference_composition(criterion):
     with criterion("1: window counts of (4,3,1,2,3) are 1, 3, 5 for m = 3, 2, 1"):
         c = oracle.Composition((4, 3, 1, 2, 3))
@@ -57,21 +54,13 @@ def test_criterion_1_window_counts_of_the_reference_composition(criterion):
 def test_criterion_2_master_series_equals_enumeration(criterion):
     with criterion("2: master series equals enumeration for m <= 4, totals <= 14"):
         for m in (1, 2, 3, 4):
-            gf = master_series(m, 14)
-            for a in range(1, 15):
-                hist = oracle.staircase_histogram(a, m)
-                assert _table(gf, a) == hist.counts, (m, a)
+            assert verify.check_gf_vs_oracle(m, max_n=14, trunc=14) is None, m
 
 
 def test_criterion_3_marginal_at_q1_is_binomial(criterion):
     with criterion("3: q = 1 marginal has binomial coefficients for m <= 5 at order 20"):
         for m in (1, 2, 3, 4, 5):
-            marginal = master_series(m, 20).at_q1()
-            assert marginal.coeff(0, 0, 0) == 1
-            for a in range(1, 21):
-                for b in range(0, 22):
-                    want = comb(a - 1, b - 1) if 1 <= b <= a else 0
-                    assert marginal.coeff(a, b, 0) == want, (m, a, b)
+            assert verify.check_marginals(m, max_n=0, trunc=20) is None, m
 
 
 def test_criterion_4_block_determinants_cross_check(criterion):
@@ -79,10 +68,8 @@ def test_criterion_4_block_determinants_cross_check(criterion):
         "4: block determinants: closed = recurrence (size <= 8, order 20) "
         "and = direct expansion (size <= 6, order 16)"
     ):
-        for k in range(0, 9):
-            assert top_block_det(k, 20, "closed") == top_block_det(k, 20, "recurrence"), k
-        for k in range(-1, 9):
-            assert inner_block_det(k, 20, "closed") == inner_block_det(k, 20, "recurrence"), k
+        # top blocks of size 0..8 and inner blocks of size -1..8
+        assert verify.check_block_dets(7, max_n=0, trunc=20) is None
         for k in range(1, 7):
             assert det_division_free(top_block_matrix(k, 16)) == top_block_det(k, 16), k
             assert det_division_free(inner_block_matrix(k, 16)) == inner_block_det(k, 16), k
@@ -91,17 +78,13 @@ def test_criterion_4_block_determinants_cross_check(criterion):
 def test_criterion_5_cramer_route_equals_the_closed_form(criterion):
     with criterion("5: Cramer route equals the closed form for m <= 5 at order 14"):
         for m in (1, 2, 3, 4, 5):
-            assert genfun.staircase_gf_cramer(m, 14) == master_series(m, 14), m
+            assert verify.check_cramer(m, max_n=0, trunc=14) is None, m
 
 
 def test_criterion_6_window_totals_formula_equals_enumeration(criterion):
     with criterion("6: window totals formula equals enumeration for m <= 4, n <= 14"):
         for m in (1, 2, 3, 4):
-            for n in range(1, 15):
-                for parts in range(1, n + 1):
-                    formula = genfun.total_staircases(n, parts, m)
-                    brute = oracle.total_staircases(n, parts, m)
-                    assert formula == brute, (m, n, parts)
+            assert verify.check_totals(m, max_n=14, trunc=0) is None, m
 
 
 def test_criterion_7_totals_series_is_the_q_derivative_at_one(criterion):

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from staircomp import cli
+from staircomp import cli, determinants, genfun, oracle
+from staircomp.series import monomial
 
 
 def run(capsys, *argv):
@@ -67,6 +68,17 @@ def test_table_writes_to_a_file(capsys, tmp_path):
     assert target.read_text().startswith("a,b,s,count\n")
 
 
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "table.csv"
+    code, out, err = run(
+        capsys, "table", "--m", "2", "--max-n", "5", "--output", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ")
+    assert err.count("\n") == 1
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--m", "2", "--max-n", "8")
     assert code == 0
@@ -80,13 +92,48 @@ def test_verify_for_unit_pattern(capsys):
     assert "5/5 checks passed" in out
 
 
-def test_verify_reports_mismatches(capsys, monkeypatch):
-    monkeypatch.setattr(cli.genfun, "total_staircases", lambda n, parts, m: 0)
+def _extra_histogram_count(real):
+    def fake(a, m, cap=oracle.MAX_ENUM_N):
+        hist = real(a, m, cap=cap)
+        return oracle.Histogram(a, {**hist.counts, (a, 0): hist.count(a, 0) + 1})
+    return fake
+
+
+def _extra_term(real, key):
+    return lambda m, trunc: real(m, trunc) + monomial(*key, 1, trunc)
+
+
+def _recurrence_off_by_one(real):
+    return lambda k, trunc, mode="closed": real(k, trunc, mode) + int(mode == "recurrence")
+
+
+# For each check: the layer function it depends on, a faulty stand-in, and
+# the first difference the report must name.
+MISMATCHES = {
+    "gf": ("closed form vs enumeration", oracle, "staircase_histogram",
+           _extra_histogram_count, "(a=1, b=1, s=0): series 1 vs enumeration 2"),
+    "cramer": ("Cramer path vs closed form", genfun, "staircase_gf_cramer",
+               lambda real: _extra_term(real, (3, 2, 1)),
+               "first difference at (a=3, b=2, s=1): closed 1 vs Cramer 2"),
+    "blocks": ("block determinant recurrences vs closed forms", determinants, "top_block_det",
+               _recurrence_off_by_one, "top block size 0: closed form differs from recurrence"),
+    "totals": ("window totals: formula vs enumeration", genfun, "total_staircases",
+               lambda real: lambda n, parts, m: 0, "n=3, parts=2: formula 0 vs enumeration 1"),
+    "marginals": ("q = 1 marginals", genfun, "gf_at_q1",
+                  lambda real: _extra_term(real, (2, 1, 0)), "(a=2, b=1): marginal 2, binomial 1"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, module, attr, make_fake, difference", MISMATCHES.values(), ids=MISMATCHES.keys()
+)
+def test_verify_reports_mismatches(capsys, monkeypatch, name, module, attr, make_fake, difference):
+    monkeypatch.setattr(module, attr, make_fake(getattr(module, attr)))
     code, out, _ = run(capsys, "verify", "--m", "2", "--max-n", "6")
     assert code == 1
-    assert "FAIL window totals" in out
-    # The report names the first offending point and both values.
-    assert "formula 0 vs enumeration 1" in out
+    # The report names the failing check, the first offending point and both values.
+    assert f"FAIL {name}: {difference}\n" in out
+    assert "4/5 checks passed" in out
 
 
 def test_verify_rejects_totals_beyond_the_cap(capsys):

@@ -111,6 +111,14 @@ def test_enumeration_cap():
 def test_composition_rejects_bad_parts():
     with pytest.raises(ValueError):
         Composition((1, 0, 2))
+    with pytest.raises(ValueError):
+        Composition((True, 2))
+
+
+def test_count_staircases_rejects_non_positive_parts():
+    with pytest.raises(ValueError):
+        count_staircases([0, -3, 2], 1)
+    assert count_staircases([4, 3, 1, 2, 3], 2) == 3
 
 
 @given(st.integers(1, 12))

@@ -149,6 +149,12 @@ def test_negative_exponents_rejected():
         TriSeries(5, {(-1, 0, 0): 1})
 
 
+@pytest.mark.parametrize("coefficient", [1.5, 2.0, True])
+def test_non_int_coefficients_rejected(coefficient):
+    with pytest.raises(TypeError):
+        TriSeries(5, {(1, 0, 0): coefficient})
+
+
 def test_json_round_trip_and_sorted_terms():
     f = monomial(3, 1, 0, -12345678901234567890, N) + monomial(1, 0, 2, 4, N) + one(N)
     obj = f.to_json_obj()
