@@ -15,8 +15,11 @@ and has an explicit closed form; both routes are implemented, and
 ``det_division_free`` evaluates determinants directly (ring operations
 only, no division) to validate the reductions.  The two families differ
 by an index shift: they share one recurrence, seeded differently, and
-the inner closed form is the top one closed off by the same term that
-closes the master series' denominator.
+the inner closed form is the top one closed off by ``_closing_term``,
+x^C(m+1,2) u^m + ((1-x-xy)/(1-x)) k_m with u = y/(1-x).  The master
+series' denominator has the same shape, with the lead weighted by 1 - q
+and the numerator determinant in place of k_m; ``genfun.staircase_gf``
+builds it with every 1/(1-x) cleared, as a polynomial.
 """
 
 from __future__ import annotations
@@ -236,19 +239,14 @@ def _top_sum(m: int, u: TriSeries) -> TriSeries:
     return acc
 
 
-def _closing_term(m: int, body: TriSeries, u: TriSeries,
-                  weight: TriSeries | None = None) -> TriSeries:
-    """weight * x^C(m+1,2) u^m + psi * body, where psi = (1-x-xy)/(1-x)
-    is written as 1 - x u.
+def _closing_term(m: int, body: TriSeries, u: TriSeries) -> TriSeries:
+    """x^C(m+1,2) u^m + psi * body, where psi = (1-x-xy)/(1-x) is written
+    as 1 - x u.
 
-    With body = numerator_det(m) and weight = 1 - q this is the
-    denominator of the master series; with body = k_m and no weight it
-    is the inner block of size m - 1.
+    With body = k_m this is the inner block of size m - 1.
     """
     trunc = u.trunc
     lead = monomial(comb(m + 1, 2), 0, 0, 1, trunc) * u ** m
-    if weight is not None:
-        lead = weight * lead
     psi = one(trunc) - monomial(1, 0, 0, 1, trunc) * u
     return lead + psi * body
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 from math import comb
 
 from .determinants import (
-    _closing_term,
-    _ratio,
     build_system,
     denominator_det,
     det_division_free,
@@ -23,22 +21,42 @@ from .series import DEFAULT_TRUNC, TriSeries, monomial, one, variables
 
 
 def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
-    """Master series for window length m, computed from the block closed forms.
+    """Master series for window length m, as one long division.
 
-    With U_k = top_block_det(k) the series is
+    The paper writes the series as N / D with k_m = top_block_det(m),
+    u = y/(1-x) and
 
-        U_m - (q x^m y / (1-x)) U_{m-1}
-        ------------------------------------------------------------------
-        (1-q) x^C(m+1,2) (y/(1-x))^m + ((1-x-xy)/(1-x)) * (numerator)
+        N = k_m - q x^m u k_{m-1},
+        D = (1-q) x^C(m+1,2) u^m + ((1-x-xy)/(1-x)) N.
 
-    The denominator has constant term 1, so the division is an exact
-    series inversion.
+    Clearing every 1/(1-x) with
+
+        U~_k = sum_{j<k} x^(kj - C(j,2)) y^j (1-x)^(k-1-j) = k_k (1-x)^(k-1)
+
+    gives the polynomials N~ = U~_m - q x^m y U~_{m-1} = N (1-x)^(m-1) and
+    D~ = (1-q) x^C(m+1,2) y^m + (1-x-xy) N~ = D (1-x)^m, so the series
+    is (1-x) N~ / D~.  The x^0 slice of D~ is exactly 1.
     """
     _validate(m, trunc)
-    q = variables(trunc)[2]
-    numerator = numerator_det(m, trunc)
-    denominator = _closing_term(m, numerator, _ratio(trunc), weight=one(trunc) - q)
-    return numerator * denominator.inverse()
+    x, y, q = variables(trunc)
+    marker = monomial(m, 1, 1, 1, trunc)  # q x^m y
+    numer = _cleared_top_sum(m, trunc) - marker * _cleared_top_sum(m - 1, trunc)
+    lead = monomial(comb(m + 1, 2), m, 0, 1, trunc)  # x^C(m+1,2) y^m
+    den = lead - q * lead + (one(trunc) - x - x * y) * numer
+    return ((one(trunc) - x) * numer).divide(den)
+
+
+def _cleared_top_sum(k: int, trunc: int) -> TriSeries:
+    """U~_k = sum_{j<k} x^(kj - C(j,2)) y^j (1-x)^(k-1-j), the top block
+    of size k times (1-x)^(k-1); a polynomial, and 0 for k = 0."""
+    return TriSeries(
+        trunc,
+        (
+            ((k * j - comb(j, 2) + t, j, 0), (-1) ** t * comb(k - 1 - j, t))
+            for j in range(k)
+            for t in range(k - j)
+        ),
+    )
 
 
 def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False) -> TriSeries:
@@ -78,12 +96,15 @@ def total_staircases_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     to the closed form
 
         x^C(m+1,2) y^m (1-x)^(2-m) / (1-x-xy)^2.
+
+    The power of 1-x goes to whichever side keeps its exponent
+    non-negative, so the denominator is a polynomial inverted once.
     """
     _validate(m, trunc)
     x, y, _q = variables(trunc)
-    core = ((one(trunc) - x - x * y).inverse()) ** 2
-    lead = monomial(comb(m + 1, 2), m, 0, 1, trunc)
-    return lead * (one(trunc) - x) ** (2 - m) * core
+    lead = monomial(comb(m + 1, 2), m, 0, 1, trunc) * (one(trunc) - x) ** max(0, 2 - m)
+    den = (one(trunc) - x) ** max(0, m - 2) * (one(trunc) - x - x * y) ** 2
+    return lead * den.inverse()
 
 
 def total_staircases(n: int, num_parts: int, m: int) -> int:

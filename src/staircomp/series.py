@@ -7,9 +7,11 @@ Truncation acts on the x-degree only; in every series this package builds,
 a term's y- and q-degrees never exceed its x-degree, so the single cutoff
 keeps all computations finite.
 
-Inversion is restricted to series whose entire x^0 slice is the constant
-+1 or -1.  Those are the only divisions the closed forms ever need, and
-their inverses again have integer coefficients.
+Division (``divide``, and ``inverse`` as 1 / self) is restricted to
+divisors whose entire x^0 slice is the constant +1 or -1.  Those are the
+only divisions the closed forms ever need, and their quotients again have
+integer coefficients.  A polynomial divisor makes the quotient one long
+division over its few x-slices.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ class TriSeries:
     as a map from (x_deg, y_deg, q_deg) to a nonzero int.  Series with
     different truncation orders compare coefficient-wise up to the smaller
     order; binary operations truncate their result to the smaller of the
-    operands' orders.  Coefficients must be plain ints (bools are
-    rejected too), and plain ints coerce to constant series.
+    operands' orders.  Exponents and coefficients must be plain ints
+    (bools are rejected too), and plain ints coerce to constant series.
     """
 
     __slots__ = ("trunc", "_terms", "_slice_cache")
@@ -46,6 +48,8 @@ class TriSeries:
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for (a, b, s), c in items:
+                if type(a) is not int or type(b) is not int or type(s) is not int:
+                    raise TypeError(f"exponents must be int, got ({a!r}, {b!r}, {s!r})")
                 if a < 0 or b < 0 or s < 0:
                     raise ValueError(f"negative exponents in term ({a}, {b}, {s})")
                 if type(c) is not int:
@@ -154,38 +158,50 @@ class TriSeries:
         return result
 
     def inverse(self) -> TriSeries:
-        """Multiplicative inverse up to the truncation order.
+        """Multiplicative inverse up to the truncation order (see divide)."""
+        return one(self.trunc).divide(self)
 
-        The x^0 slice must be exactly +1 or -1.  Anything else raises
-        NonUnitError: a different constant breaks integrality, and extra
-        x^0 terms in y or q would give the inverse unboundedly many terms
-        at a fixed x-degree.
+    def divide(self, den: TriSeries) -> TriSeries:
+        """Quotient self / den up to the smaller truncation order.
+
+        The x^0 slice of den must be exactly +1 or -1.  Anything else
+        raises NonUnitError: a different constant breaks integrality, and
+        extra x^0 terms in y or q would give the quotient unboundedly many
+        terms at a fixed x-degree.  The quotient g is found slice by slice
+        from g * den = self, by long division over the x-slices den has:
+        a polynomial den costs a few slice products per quotient slice.
         """
-        slices = self._slices()
+        o = self._coerce(den)
+        if o is None:
+            raise TypeError(f"cannot divide a series by {den!r}")
+        n = min(self.trunc, o.trunc)
+        slices = o._slices()
         head = slices.get(0, {})
         const = head.get((0, 0), 0)
         if const not in (1, -1) or len(head) != 1:
             raise NonUnitError(
                 "series is invertible only when its x^0 slice is the constant +1 or -1"
             )
-        inv0 = const
-        g: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): inv0}}
-        for a in range(1, self.trunc + 1):
-            acc: dict[tuple[int, int], int] = {}
-            for i in range(1, a + 1):
-                fi = slices.get(i)
+        tail = sorted((i, fi) for i, fi in slices.items() if 0 < i <= n)
+        num = self._slices()
+        g: dict[int, dict[tuple[int, int], int]] = {}
+        for a in range(n + 1):
+            acc = dict(num.get(a, {}))
+            for i, fi in tail:
+                if i > a:
+                    break
                 gj = g.get(a - i)
-                if not fi or not gj:
+                if not gj:
                     continue
                 for (b1, s1), c1 in fi.items():
                     for (b2, s2), c2 in gj.items():
                         key = (b1 + b2, s1 + s2)
-                        acc[key] = acc.get(key, 0) + c1 * c2
-            slice_a = {k: -inv0 * v for k, v in acc.items() if v}
+                        acc[key] = acc.get(key, 0) - c1 * c2
+            slice_a = {k: const * v for k, v in acc.items() if v}
             if slice_a:
                 g[a] = slice_a
         return TriSeries(
-            self.trunc,
+            n,
             {(a, b, s): c for a, sl in g.items() for (b, s), c in sl.items()},
         )
 

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from staircomp import genfun, oracle
-from staircomp.series import monomial, one, variables
+from staircomp.series import monomial, one, variables, zero
 
 
 def _table(gf, a):
@@ -156,3 +156,41 @@ def test_direct_route_respects_the_determinant_limit():
 
     with pytest.raises(DeterminantLimitError):
         genfun.staircase_gf_cramer(8, 10, direct=True)  # 9x9 matrices
+
+
+def _printed_theorem(m, trunc):
+    """F exactly as the paper's main theorem prints it."""
+    x, y, q = variables(trunc)
+    geom = (one(trunc) - x).inverse()
+    u = y * geom
+
+    def k(n):
+        acc = zero(trunc)
+        for j in range(n):
+            acc = acc + monomial(n * j - comb(j, 2), 0, 0, 1, trunc) * u ** j
+        return acc
+
+    numerator = k(m) - q * monomial(m, 0, 0, 1, trunc) * y * geom * k(m - 1)
+    denominator = (
+        (one(trunc) - q) * monomial(comb(m + 1, 2), 0, 0, 1, trunc) * u ** m
+        + (one(trunc) - x - x * y) * geom * numerator
+    )
+    return numerator * denominator.inverse()
+
+
+def _printed_totals(m, trunc):
+    """x^C(m+1,2) y^m (1-x)^(2-m) / (1-x-xy)^2, written as printed."""
+    x, y, _ = variables(trunc)
+    lead = monomial(comb(m + 1, 2), m, 0, 1, trunc)
+    return lead * (one(trunc) - x) ** (2 - m) * (one(trunc) - x - x * y).inverse() ** 2
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 20, 41])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_series_equal_the_printed_theorem(m, trunc):
+    gf = genfun.staircase_gf(m, trunc)
+    assert gf.trunc == trunc
+    assert gf == _printed_theorem(m, trunc)
+    totals = genfun.total_staircases_gf(m, trunc)
+    assert totals.trunc == trunc
+    assert totals == _printed_totals(m, trunc)

@@ -86,19 +86,39 @@ def test_inverse_multiplies_back():
 
 
 def test_inverse_of_negative_unit():
-    x, _, _ = variables(N)
+    x, y, _ = variables(N)
     f = -(one(N)) + x
     assert f * f.inverse() == one(N)
+    den = -(one(N)) + x * y + x ** 4
+    num = one(N) + 7 * x ** 2
+    assert num.divide(den) * den == num
 
 
 def test_non_unit_rejected():
     x, y, _ = variables(N)
-    with pytest.raises(NonUnitError):
-        (one(N) + one(N)).inverse()  # constant 2
-    with pytest.raises(NonUnitError):
-        x.inverse()  # constant 0
-    with pytest.raises(NonUnitError):
-        (one(N) + y).inverse()  # extra x^0 term: inverse would not truncate
+    num = one(N) + x
+    for divide in (TriSeries.inverse, num.divide):
+        with pytest.raises(NonUnitError):
+            divide(one(N) + one(N))  # constant 2
+        with pytest.raises(NonUnitError):
+            divide(x)  # constant 0
+        with pytest.raises(NonUnitError):
+            divide(one(N) + y)  # extra x^0 term: quotient would not truncate
+
+
+def test_divide_multiplies_back_at_the_smaller_order():
+    x, y, q = variables(N)
+    num = TriSeries(N, {(0, 0, 0): 3, (2, 1, 1): -4, (N, 2, 0): 5})
+    den = (one(N) - x - x * y + q * x ** 3).truncated(9)
+    quotient = num.divide(den)
+    assert quotient.trunc == 9
+    assert quotient * den == num.truncated(9)
+
+
+def test_inverse_is_one_divided_by_the_series():
+    x, y, q = variables(N)
+    f = one(N) - x - q * x * y + 2 * x ** 3
+    assert f.inverse() == one(N).divide(f)
 
 
 def test_coeff_validates_range():
@@ -155,6 +175,12 @@ def test_non_int_coefficients_rejected(coefficient):
         TriSeries(5, {(1, 0, 0): coefficient})
 
 
+@pytest.mark.parametrize("key", [(1.0, 0, 0), (0, 2.0, 0), (0, 0, True)])
+def test_non_int_exponents_rejected(key):
+    with pytest.raises(TypeError):
+        TriSeries(5, {key: 1})
+
+
 def test_json_round_trip_and_sorted_terms():
     f = monomial(3, 1, 0, -12345678901234567890, N) + monomial(1, 0, 2, 4, N) + one(N)
     obj = f.to_json_obj()
@@ -190,6 +216,12 @@ def test_additive_inverse(f):
 @settings(max_examples=40)
 def test_units_invert(f):
     assert f * f.inverse() == one(N)
+
+
+@given(sparse_series(), units())
+@settings(max_examples=40)
+def test_division_by_sparse_polynomials(num, den):
+    assert num.divide(den) * den == num
 
 
 @given(sparse_series(), sparse_series())
