@@ -10,16 +10,21 @@ Expanding both determinants along their last rows reduces them to a
 single family of banded block determinants: ``top_block_det`` covers the
 blocks anchored at the top-left corner of the numerator matrix, and
 ``inner_block_det`` the blocks left after stripping the first row and
-column.  Each family satisfies a three-term recurrence in the block size
-and has an explicit closed form; both routes are implemented, and
-``det_division_free`` evaluates determinants directly (ring operations
-only, no division) to validate the reductions.  The two families differ
-by an index shift: they share one recurrence, seeded differently, and
-the inner closed form is the top one closed off by ``_closing_term``,
-x^C(m+1,2) u^m + ((1-x-xy)/(1-x)) k_m with u = y/(1-x).  The master
-series' denominator has the same shape, with the lead weighted by 1 - q
-and the numerator determinant in place of k_m; ``genfun.staircase_gf``
-builds it with every 1/(1-x) cleared, as a polynomial.
+column.  The two families differ by an index shift.  Each has a closed
+form built from k_m = sum_{j<m} x^(mj - C(j,2)) (y/(1-x))^j, and each
+satisfies one three-term recurrence in the block size, seeded
+differently per family.
+
+The closed forms are evaluated with every 1/(1-x) cleared:
+``_cleared_top_sum`` builds the polynomial U~_m = k_m (1-x)^(m-1), and
+``_cleared_closing`` the polynomial x^C(m+1,2) y^m + (1-x-xy) U~_m, which
+is the inner block of size m - 1 times (1-x)^m.  Each block is then one
+``TriSeries.divide`` by a power of 1 - x.  ``genfun.staircase_gf`` builds
+the master series' denominator with the same two helpers.  The
+recurrences, the cofactor expansions in ``numerator_det`` and
+``denominator_det``, and ``det_division_free`` (ring operations only, no
+division) keep their own arithmetic: they are the independent routes the
+closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -81,11 +86,10 @@ class SeriesMatrix:
         )
 
 
-def _atoms(trunc: int):
-    """Shared building blocks: x, y, q, 1/(1-x) and z = -1/(1-x)."""
-    x, y, q = variables(trunc)
-    geom = (one(trunc) - x).inverse()
-    return x, y, q, geom, -geom
+def _z(trunc: int) -> TriSeries:
+    """z = -1/(1-x) = -(1 + x + x^2 + ...), the superdiagonal entry of the
+    system matrix."""
+    return TriSeries(trunc, (((a, 0, 0), -1) for a in range(trunc + 1)))
 
 
 def build_system(m: int, trunc: int = DEFAULT_TRUNC) -> tuple[SeriesMatrix, list[TriSeries]]:
@@ -100,7 +104,7 @@ def build_system(m: int, trunc: int = DEFAULT_TRUNC) -> tuple[SeriesMatrix, list
     """
     if m < 1:
         raise ValueError(f"pattern length must be >= 1, got {m}")
-    x, y, q, geom, z = _atoms(trunc)
+    z = _z(trunc)
     dim = m + 1
     rows = [[zero(trunc) for _ in range(dim)] for _ in range(dim)]
     rhs = [zero(trunc) for _ in range(dim)]
@@ -191,13 +195,16 @@ def top_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") -> T
     recurrence:  d_k = (1 - x^(k-1) y (1+z)) d_{k-1} + x^(k-1) y z d_{k-2}
                  from d_0 = 0 and d_1 = 1, with z = -1/(1-x).
 
+    The closed form is evaluated as the cleared polynomial
+    U~_k = sum_{j<k} x^(kj - C(j,2)) y^j (1-x)^(k-1-j) over (1-x)^(k-1).
     The size-0 value is 0, the seed the recurrence needs.
     """
     if k < 0:
         raise ValueError(f"block size must be >= 0, got {k}")
     _check_mode(mode)
     if mode == "closed":
-        return _top_sum(k, _ratio(trunc))
+        x = monomial(1, 0, 0, 1, trunc)
+        return _cleared_top_sum(k, trunc).divide((one(trunc) - x) ** max(0, k - 1))
     return _recurrence(k - 1, zero(trunc), one(trunc))
 
 
@@ -210,45 +217,40 @@ def inner_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") ->
                  from d_{-1} = 1 and d_0 = 1.
 
     The closed form is x^C(k+2,2) u^(k+1) + psi * top_block_det(k+1) with
-    u = y/(1-x) and psi = (1-x-xy)/(1-x).
+    u = y/(1-x) and psi = (1-x-xy)/(1-x).  It is evaluated as the cleared
+    polynomial x^C(k+2,2) y^(k+1) + (1-x-xy) U~_{k+1} over (1-x)^(k+1).
     """
     if k < -1:
         raise ValueError(f"block size must be >= -1, got {k}")
     _check_mode(mode)
     if mode == "closed":
-        u = _ratio(trunc)
-        return _closing_term(k + 1, _top_sum(k + 1, u), u)
+        x = monomial(1, 0, 0, 1, trunc)
+        body = _cleared_closing(k + 1, _cleared_top_sum(k + 1, trunc))
+        return body.divide((one(trunc) - x) ** (k + 1))
     return _recurrence(k, one(trunc), one(trunc))
 
 
-def _ratio(trunc: int) -> TriSeries:
-    """u = y/(1-x), the variable of the closed forms' sums."""
-    x, y, _q = variables(trunc)
-    return y * (one(trunc) - x).inverse()
+def _cleared_top_sum(k: int, trunc: int) -> TriSeries:
+    """U~_k = sum_{j<k} x^(kj - C(j,2)) y^j (1-x)^(k-1-j), the top block
+    of size k times (1-x)^(k-1); a polynomial, and 0 for k = 0."""
+    return TriSeries(
+        trunc,
+        (
+            ((k * j - comb(j, 2) + t, j, 0), (-1) ** t * comb(k - 1 - j, t))
+            for j in range(k)
+            for t in range(k - j)
+        ),
+    )
 
 
-def _top_sum(m: int, u: TriSeries) -> TriSeries:
-    """k_m = sum_{j<m} x^(mj - C(j,2)) u^j, the closed form of the top
-    block of size m."""
-    trunc = u.trunc
-    acc = zero(trunc)
-    power = one(trunc)
-    for j in range(m):
-        acc = acc + monomial(m * j - comb(j, 2), 0, 0, 1, trunc) * power
-        power = power * u
-    return acc
+def _cleared_closing(m: int, body: TriSeries) -> TriSeries:
+    """x^C(m+1,2) y^m + (1-x-xy) body.
 
-
-def _closing_term(m: int, body: TriSeries, u: TriSeries) -> TriSeries:
-    """x^C(m+1,2) u^m + psi * body, where psi = (1-x-xy)/(1-x) is written
-    as 1 - x u.
-
-    With body = k_m this is the inner block of size m - 1.
+    With body = U~_m this is the inner block of size m - 1 times (1-x)^m.
     """
-    trunc = u.trunc
-    lead = monomial(comb(m + 1, 2), 0, 0, 1, trunc) * u ** m
-    psi = one(trunc) - monomial(1, 0, 0, 1, trunc) * u
-    return lead + psi * body
+    trunc = body.trunc
+    x, y, _q = variables(trunc)
+    return monomial(comb(m + 1, 2), m, 0, 1, trunc) + (one(trunc) - x - x * y) * body
 
 
 def _recurrence(n: int, before: TriSeries, start: TriSeries) -> TriSeries:
@@ -261,7 +263,7 @@ def _recurrence(n: int, before: TriSeries, start: TriSeries) -> TriSeries:
     if n == -1:
         return before
     trunc = start.trunc
-    *_rest, z = _atoms(trunc)
+    z = _z(trunc)
     prev2, prev = before, start
     for i in range(1, n + 1):
         step = monomial(i, 1, 0, 1, trunc)
@@ -275,7 +277,7 @@ def numerator_det(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     top_block_det(m) + z q x^m y top_block_det(m-1)."""
     if m < 1:
         raise ValueError(f"pattern length must be >= 1, got {m}")
-    *_rest, z = _atoms(trunc)
+    z = _z(trunc)
     marker = monomial(m, 1, 1, 1, trunc)  # q x^m y
     return top_block_det(m, trunc) + z * marker * top_block_det(m - 1, trunc)
 
@@ -285,7 +287,7 @@ def denominator_det(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     inner_block_det(m-1) + z q x^m y inner_block_det(m-2)."""
     if m < 1:
         raise ValueError(f"pattern length must be >= 1, got {m}")
-    *_rest, z = _atoms(trunc)
+    z = _z(trunc)
     marker = monomial(m, 1, 1, 1, trunc)
     return inner_block_det(m - 1, trunc) + z * marker * inner_block_det(m - 2, trunc)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from math import comb
 
 from .determinants import (
+    _cleared_closing,
+    _cleared_top_sum,
     build_system,
     denominator_det,
     det_division_free,
@@ -29,34 +31,19 @@ def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
         N = k_m - q x^m u k_{m-1},
         D = (1-q) x^C(m+1,2) u^m + ((1-x-xy)/(1-x)) N.
 
-    Clearing every 1/(1-x) with
-
-        U~_k = sum_{j<k} x^(kj - C(j,2)) y^j (1-x)^(k-1-j) = k_k (1-x)^(k-1)
-
-    gives the polynomials N~ = U~_m - q x^m y U~_{m-1} = N (1-x)^(m-1) and
-    D~ = (1-q) x^C(m+1,2) y^m + (1-x-xy) N~ = D (1-x)^m, so the series
-    is (1-x) N~ / D~.  The x^0 slice of D~ is exactly 1.
+    It is evaluated as one division of cleared polynomials: with the top
+    blocks cleared to U~_k = k_k (1-x)^(k-1) (``_cleared_top_sum``),
+    N~ = U~_m - q x^m y U~_{m-1} = N (1-x)^(m-1) and
+    D~ = x^C(m+1,2) y^m + (1-x-xy) N~ - q x^C(m+1,2) y^m = D (1-x)^m
+    (``_cleared_closing`` builds the first two terms), so the series is
+    (1-x) N~ / D~.  The x^0 slice of D~ is exactly 1.
     """
     _validate(m, trunc)
-    x, y, q = variables(trunc)
+    x = monomial(1, 0, 0, 1, trunc)
     marker = monomial(m, 1, 1, 1, trunc)  # q x^m y
     numer = _cleared_top_sum(m, trunc) - marker * _cleared_top_sum(m - 1, trunc)
-    lead = monomial(comb(m + 1, 2), m, 0, 1, trunc)  # x^C(m+1,2) y^m
-    den = lead - q * lead + (one(trunc) - x - x * y) * numer
+    den = _cleared_closing(m, numer) - monomial(comb(m + 1, 2), m, 1, 1, trunc)
     return ((one(trunc) - x) * numer).divide(den)
-
-
-def _cleared_top_sum(k: int, trunc: int) -> TriSeries:
-    """U~_k = sum_{j<k} x^(kj - C(j,2)) y^j (1-x)^(k-1-j), the top block
-    of size k times (1-x)^(k-1); a polynomial, and 0 for k = 0."""
-    return TriSeries(
-        trunc,
-        (
-            ((k * j - comb(j, 2) + t, j, 0), (-1) ** t * comb(k - 1 - j, t))
-            for j in range(k)
-            for t in range(k - j)
-        ),
-    )
 
 
 def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False) -> TriSeries:
@@ -75,7 +62,7 @@ def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False
     else:
         det_num = numerator_det(m, trunc)
         det_sys = denominator_det(m, trunc)
-    return det_num * det_sys.inverse()
+    return det_num.divide(det_sys)
 
 
 def gf_at_q1(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:

@@ -32,16 +32,19 @@ class TriSeries:
     """Immutable series in x, y and q, truncated at a fixed x-degree.
 
     ``trunc`` is the largest retained x-degree.  Terms are stored sparsely
-    as a map from (x_deg, y_deg, q_deg) to a nonzero int.  Series with
-    different truncation orders compare coefficient-wise up to the smaller
-    order; binary operations truncate their result to the smaller of the
-    operands' orders.  Exponents and coefficients must be plain ints
-    (bools are rejected too), and plain ints coerce to constant series.
+    as a map from (x_deg, y_deg, q_deg) to a nonzero int.  Two series are
+    equal only when their orders and their terms are; compare series of
+    different orders through ``truncated``.  Binary operations truncate
+    their result to the smaller of the operands' orders.  The order,
+    exponents and coefficients must be plain ints (bools are rejected
+    too), and plain ints coerce to constant series.
     """
 
     __slots__ = ("trunc", "_terms", "_slice_cache")
 
     def __init__(self, trunc: int, terms: TermsLike = None):
+        if type(trunc) is not int:
+            raise TypeError(f"truncation order must be int, got {trunc!r}")
         if trunc < 1:
             raise ValueError(f"truncation order must be >= 1, got {trunc}")
         acc: dict[Key, int] = {}
@@ -82,16 +85,9 @@ class TriSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = min(self.trunc, o.trunc)
-        for key, c in self._terms.items():
-            if key[0] <= n and o._terms.get(key, 0) != c:
-                return False
-        for key in o._terms:
-            if key[0] <= n and key not in self._terms:
-                return False
-        return True
+        return self.trunc == o.trunc and self._terms == o._terms
 
-    __hash__ = None  # mutable-dict backing; equality spans truncation orders
+    __hash__ = None  # mutable-dict backing
 
     # -- ring operations -----------------------------------------------------
 

@@ -111,14 +111,39 @@ def test_inner_block_values():
     assert inner_block_det(1, N) == one(N) - x * y
 
 
+# Orders 1 and 2 lie below the degree of most divisors (1-x)^k.
+ORDERS = (1, 2, N, 30)
+
+
+def _printed_top_sum(k, trunc):
+    """k_k = sum_{j<k} x^(kj - C(j,2)) (y/(1-x))^j, built as printed."""
+    x, y, _ = variables(trunc)
+    u = y * (one(trunc) - x).inverse()
+    acc = zero(trunc)
+    for j in range(k):
+        acc = acc + monomial(k * j - comb(j, 2), 0, 0, 1, trunc) * u ** j
+    return acc
+
+
 @pytest.mark.parametrize("k", range(0, 9))
 def test_top_block_modes_agree(k):
-    assert top_block_det(k, N, "closed") == top_block_det(k, N, "recurrence")
+    for trunc in ORDERS:
+        closed = top_block_det(k, trunc, "closed")
+        assert closed == top_block_det(k, trunc, "recurrence")
+        assert closed == _printed_top_sum(k, trunc)
 
 
 @pytest.mark.parametrize("k", range(-1, 9))
 def test_inner_block_modes_agree(k):
-    assert inner_block_det(k, N, "closed") == inner_block_det(k, N, "recurrence")
+    # Printed: x^C(k+2,2) u^(k+1) + psi k_{k+1}, u = y/(1-x), psi = (1-x-xy)/(1-x).
+    for trunc in ORDERS:
+        x, y, _ = variables(trunc)
+        geom = (one(trunc) - x).inverse()
+        lead = monomial(comb(k + 2, 2), 0, 0, 1, trunc) * (y * geom) ** (k + 1)
+        psi = (one(trunc) - x - x * y) * geom
+        closed = inner_block_det(k, trunc, "closed")
+        assert closed == inner_block_det(k, trunc, "recurrence")
+        assert closed == lead + psi * _printed_top_sum(k + 1, trunc)
 
 
 def test_mode_name_is_validated():

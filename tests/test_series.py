@@ -152,16 +152,40 @@ def test_power_including_negative_exponents():
 
 
 def test_equality_up_to_common_truncation():
+    # == is strict; agreement up to the smaller order goes through truncated.
     wide = TriSeries(20, {(a, 0, 0): 1 for a in range(21)})
     narrow = TriSeries(10, {(a, 0, 0): 1 for a in range(11)})
-    assert wide == narrow
+    assert wide != narrow
     assert wide.truncated(10) == narrow
     assert narrow != narrow - monomial(10, 0, 0, 1, 10)
+    assert one(5) != one(6)
+
+
+def test_equality_is_transitive_across_orders():
+    # b and c differ only at x^7, beyond a's order: a == b and a == c would
+    # follow from agreement up to the common order, although b != c.
+    a = one(5)
+    b = one(10)
+    c = one(10) + monomial(7, 0, 0, 1, 10)
+    assert b != c
+    assert a != b and a != c
+    assert a == b.truncated(5) == c.truncated(5)
 
 
 def test_truncated_cannot_extend():
     with pytest.raises(ValueError):
         one(5).truncated(6)
+
+
+def test_non_int_truncation_orders_rejected():
+    for build in (
+        lambda: TriSeries(2.5),
+        lambda: TriSeries(True),
+        lambda: monomial(1, 0, 0, 1, 5.0),
+        lambda: one(5).truncated(2.0),
+    ):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_negative_exponents_rejected():
