@@ -8,9 +8,6 @@ the text format is aligned for humans and makes no stability promise.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from typing import Callable
 
@@ -187,7 +184,7 @@ def cmd_series_dump(args: argparse.Namespace) -> int:
         "denominator-det": denominator_det,
     }
     series = producers[args.kind](args.m, args.trunc)
-    _emit(json.dumps(series.to_json_obj(), indent=2) + "\n", args.output)
+    _emit(_render_series(series.to_json_obj()), args.output)
     return 0
 
 
@@ -202,19 +199,32 @@ def _table_trunc(trunc, max_n, default=DEFAULT_TRUNC):
     return trunc
 
 
+def _render_series(obj: dict) -> str:
+    """What ``json.dumps(obj, indent=2)`` writes for a ``TriSeries.to_json_obj()``
+    dict, plus a newline."""
+    terms = ",\n".join(
+        f'    {{\n      "a": {t["a"]},\n      "b": {t["b"]},\n'
+        f'      "s": {t["s"]},\n      "c": "{t["c"]}"\n    }}'
+        for t in obj["terms"]
+    )
+    body = f"[\n{terms}\n  ]" if terms else "[]"
+    return f'{{\n  "trunc": {obj["trunc"]},\n  "terms": {body}\n}}\n'
+
+
 def _render_rows(rows, header, fmt):
+    """Rows of ints as json (the last column as a decimal string), csv or
+    aligned text.  json is ``json.dumps(..., indent=2)`` of one dict per
+    row and csv is what the ``csv`` module writes, byte for byte."""
     if fmt == "json":
-        payload = [
-            {**dict(zip(header[:-1], row[:-1])), header[-1]: str(row[-1])}
-            for row in rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
+        if not rows:
+            return "[]\n"
+        fields = [f'    "{name}": {{}}' for name in header[:-1]]
+        fields.append(f'    "{header[-1]}": "{{}}"')
+        record = "  {{\n" + ",\n".join(fields) + "\n  }}"
+        return "[\n" + ",\n".join(record.format(*row) for row in rows) + "\n]\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
+        lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
+        return "\n".join(lines) + "\n"
     widths = [
         max(len(name), *(len(str(row[i])) for row in rows)) if rows else len(name)
         for i, name in enumerate(header)

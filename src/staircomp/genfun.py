@@ -39,11 +39,8 @@ def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     (1-x) N~ / D~.  The x^0 slice of D~ is exactly 1.
     """
     _validate(m, trunc)
-    x = monomial(1, 0, 0, 1, trunc)
-    marker = monomial(m, 1, 1, 1, trunc)  # q x^m y
-    numer = _cleared_top_sum(m, trunc) - marker * _cleared_top_sum(m - 1, trunc)
-    den = _cleared_closing(m, numer) - monomial(comb(m + 1, 2), m, 1, 1, trunc)
-    return ((one(trunc) - x) * numer).divide(den)
+    num, den = _cleared_fraction(m, trunc)
+    return num.divide(den)
 
 
 def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False) -> TriSeries:
@@ -71,8 +68,16 @@ def gf_at_q1(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     Setting q to 1 forgets the window statistic, leaving the series of all
     compositions by weight and part count: the coefficient of x^a y^b is
     C(a-1, b-1) regardless of m.
+
+    q := 1 is substituted into the cleared numerator and denominator of
+    ``staircase_gf`` before dividing.  The substitution is a ring
+    homomorphism and the denominator's x^0 slice stays 1, so this is the
+    same series as ``staircase_gf(m, trunc).at_q1()``, found by a long
+    division in x and y alone.
     """
-    return staircase_gf(m, trunc).at_q1()
+    _validate(m, trunc)
+    num, den = _cleared_fraction(m, trunc)
+    return num.at_q1().divide(den.at_q1())
 
 
 def total_staircases_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
@@ -113,6 +118,16 @@ def total_staircases(n: int, num_parts: int, m: int) -> int:
     if top < 0 or top < num_parts - 1:
         return 0
     return (num_parts - m + 1) * comb(top, num_parts - 1)
+
+
+def _cleared_fraction(m: int, trunc: int) -> tuple[TriSeries, TriSeries]:
+    """The polynomials ((1-x) N~, D~) whose quotient is the master series
+    (see ``staircase_gf``)."""
+    x = monomial(1, 0, 0, 1, trunc)
+    marker = monomial(m, 1, 1, 1, trunc)  # q x^m y
+    numer = _cleared_top_sum(m, trunc) - marker * _cleared_top_sum(m - 1, trunc)
+    den = _cleared_closing(m, numer) - monomial(comb(m + 1, 2), m, 1, 1, trunc)
+    return (one(trunc) - x) * numer, den
 
 
 def _validate(m: int, trunc: int) -> None:

@@ -11,7 +11,15 @@ Division (``divide``, and ``inverse`` as 1 / self) is restricted to
 divisors whose entire x^0 slice is the constant +1 or -1.  Those are the
 only divisions the closed forms ever need, and their quotients again have
 integer coefficients.  A polynomial divisor makes the quotient one long
-division over its few x-slices.
+division over its few x-slices.  Inside that loop a (y, q) exponent
+pair (b, s) is packed into the one int b * width + s, so a product of two
+terms adds two ints instead of building a tuple.  Packing commutes with
+addition as long as every q-degree stays below ``width``, and ``width``
+is computed from the operands to guarantee it: the numerator's top
+q-degree plus the quotient's order times the divisor's steepest q-slope
+s / i over its terms x^i y^b q^s with i > 0 (a quotient slice of x-degree
+a gains at most that slope times a).  The y-degree is the high digit and
+needs no bound.
 """
 
 from __future__ import annotations
@@ -178,27 +186,35 @@ class TriSeries:
             raise NonUnitError(
                 "series is invertible only when its x^0 slice is the constant +1 or -1"
             )
-        tail = sorted((i, fi) for i, fi in slices.items() if 0 < i <= n)
         num = self._slices()
-        g: dict[int, dict[tuple[int, int], int]] = {}
+        top_q = max((s for sl in num.values() for _b, s in sl), default=0)
+        steepest = max((s * n // i for i, fi in slices.items() if i for _b, s in fi), default=0)
+        width = top_q + steepest + 1
+        tail = [
+            (i, [(b * width + s, c) for (b, s), c in fi.items()])
+            for i, fi in sorted(slices.items())
+            if 0 < i <= n
+        ]
+        g: dict[int, list[tuple[int, int]]] = {}
         for a in range(n + 1):
-            acc = dict(num.get(a, {}))
+            acc = {b * width + s: c for (b, s), c in num.get(a, {}).items()}
+            get = acc.get
             for i, fi in tail:
                 if i > a:
                     break
                 gj = g.get(a - i)
                 if not gj:
                     continue
-                for (b1, s1), c1 in fi.items():
-                    for (b2, s2), c2 in gj.items():
-                        key = (b1 + b2, s1 + s2)
-                        acc[key] = acc.get(key, 0) - c1 * c2
-            slice_a = {k: const * v for k, v in acc.items() if v}
+                for k1, c1 in fi:
+                    for k2, c2 in gj:
+                        k = k1 + k2
+                        acc[k] = get(k, 0) - c1 * c2
+            slice_a = [(k, const * c) for k, c in acc.items() if c]
             if slice_a:
                 g[a] = slice_a
         return TriSeries(
             n,
-            {(a, b, s): c for a, sl in g.items() for (b, s), c in sl.items()},
+            {(a, k // width, k % width): c for a, sl in g.items() for k, c in sl},
         )
 
     # -- specializations -----------------------------------------------------
@@ -241,11 +257,10 @@ class TriSeries:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> TriSeries:
-        terms = {
-            (int(t["a"]), int(t["b"]), int(t["s"])): int(t["c"])
-            for t in obj["terms"]
-        }
-        return cls(int(obj["trunc"]), terms)
+        """Inverse of ``to_json_obj``.  The order and exponents must be ints
+        and each coefficient a decimal string; nothing is coerced."""
+        terms = {(t["a"], t["b"], t["s"]): _parse_coeff(t["c"]) for t in obj["terms"]}
+        return cls(obj["trunc"], terms)
 
     # -- display ---------------------------------------------------------------
 
@@ -277,6 +292,15 @@ class TriSeries:
         if type(other) is int:
             return TriSeries(self.trunc, {(0, 0, 0): other})
         return None
+
+
+def _parse_coeff(text) -> int:
+    if type(text) is not str:
+        raise TypeError(f"coefficients must be decimal strings, got {text!r}")
+    c = int(text)
+    if str(c) != text:
+        raise ValueError(f"coefficients must be decimal strings, got {text!r}")
+    return c
 
 
 def _format_term(key: Key, c: int, first: bool) -> str:

@@ -5,9 +5,11 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staircomp import cli, determinants, genfun, oracle
-from staircomp.series import monomial
+from staircomp.series import TriSeries, monomial
 
 
 def run(capsys, *argv):
@@ -200,6 +202,72 @@ def test_series_dump_other_kinds(capsys):
         code, out, _ = run(capsys, "series-dump", "--m", "2", "--trunc", "6", "--kind", kind)
         assert code == 0
         assert json.loads(out)["trunc"] == 6
+
+
+SERIES_KINDS = {
+    "gf": genfun.staircase_gf,
+    "gf-q1": genfun.gf_at_q1,
+    "total-gf": genfun.total_staircases_gf,
+    "numerator-det": determinants.numerator_det,
+    "denominator-det": determinants.denominator_det,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SERIES_KINDS))
+def test_series_dump_round_trips(capsys, kind):
+    for m, trunc in ((1, 1), (3, 2), (3, 12), (5, 9)):
+        code, out, _ = run(capsys, "series-dump", "--m", str(m), "--trunc", str(trunc), "--kind", kind)
+        assert code == 0
+        assert TriSeries.from_json_obj(json.loads(out)) == SERIES_KINDS[kind](m, trunc)
+
+
+def _json_rows(rows, header):
+    payload = [{**dict(zip(header[:-1], row[:-1])), header[-1]: str(row[-1])} for row in rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv_rows(rows, header):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _assert_writers_match_the_stdlib(series):
+    obj = series.to_json_obj()
+    assert cli._render_series(obj) == json.dumps(obj, indent=2) + "\n"
+    header = ("a", "b", "s", "count")
+    rows = [(a, b, s, c) for (a, b, s), c in series.terms()]
+    assert cli._render_rows(rows, header, "json") == _json_rows(rows, header)
+    assert cli._render_rows(rows, header, "csv") == _csv_rows(rows, header)
+    rows = [(b, s, c) for (_a, b, s), c in series.terms()]
+    assert cli._render_rows(rows, header[1:], "json") == _json_rows(rows, header[1:])
+    assert cli._render_rows(rows, header[1:], "csv") == _csv_rows(rows, header[1:])
+
+
+@pytest.mark.parametrize("kind", sorted(SERIES_KINDS))
+@pytest.mark.parametrize("m, trunc", [(1, 1), (3, 1), (2, 7), (4, 16)])
+def test_writers_match_json_and_csv_modules(kind, m, trunc):
+    series = SERIES_KINDS[kind](m, trunc)
+    if (kind, m, trunc) == ("total-gf", 3, 1):
+        assert not series  # the empty list
+    if (kind, trunc) == ("numerator-det", 16):
+        assert any(c < 0 for _key, c in series.terms())
+    _assert_writers_match_the_stdlib(series)
+
+
+@given(
+    st.integers(1, 5),
+    st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 12), st.integers(0, 12)),
+        st.integers(-(10 ** 30), 10 ** 30),
+        max_size=8,
+    ),
+)
+@settings(max_examples=60)
+def test_writers_match_json_and_csv_modules_on_random_series(trunc, terms):
+    _assert_writers_match_the_stdlib(TriSeries(trunc, terms))
 
 
 def test_usage_errors_exit_with_two(capsys):

@@ -73,6 +73,12 @@ def test_q1_marginal_closed_form():
     assert genfun.gf_at_q1(3, 12) == (one(12) - x) * (one(12) - x - x * y).inverse()
 
 
+@pytest.mark.parametrize("trunc", [1, 2, 20, 41])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_q1_marginal_is_the_master_series_at_q1(m, trunc):
+    assert genfun.gf_at_q1(m, trunc) == genfun.staircase_gf(m, trunc).at_q1()
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_totals_series_is_the_q_derivative_at_one(m):
     gf = genfun.staircase_gf(m, 12)

@@ -115,6 +115,29 @@ def test_divide_multiplies_back_at_the_smaller_order():
     assert quotient * den == num.truncated(9)
 
 
+@pytest.mark.parametrize("order", [1, 2, 12])
+def test_divisors_steeper_in_y_or_q_than_in_x(order):
+    # Quotient degrees in y and q outgrow the x-degree here, so the packed
+    # (y, q) keys of the long division must leave room for them.
+    x, y, q = variables(order)
+    nums = (
+        one(order),
+        one(order) + x * y ** 2 * q ** 4 - 3 * x ** 3 * q ** 11,
+        TriSeries(order, {(0, 7, 9): 2, (1, 0, 13): -5, (2, 4, 0): 1}),
+    )
+    dens = (
+        one(order) + x * y ** 5 * q ** 3,
+        one(order) - x ** 2 * y ** 9,
+        -one(order) + x * q ** 6 - x ** 2 * y ** 3 * q ** 15,
+    )
+    for num in nums:
+        for den in dens:
+            assert num.divide(den) * den == num
+    if order >= 4:
+        quotient = one(order).divide(one(order) + x * y ** 5 * q ** 3)
+        assert quotient.coeff(4, 20, 12) == 1
+
+
 def test_inverse_is_one_divided_by_the_series():
     x, y, q = variables(N)
     f = one(N) - x - q * x * y + 2 * x ** 3
@@ -213,6 +236,29 @@ def test_json_round_trip_and_sorted_terms():
     assert keys == sorted(keys)
     assert all(isinstance(t["c"], str) for t in obj["terms"])
     assert TriSeries.from_json_obj(json.loads(json.dumps(obj))) == f
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"trunc": 5.7, "terms": [{"a": 1, "b": 1, "s": 0, "c": "3"}]},
+        {"trunc": True, "terms": []},
+        {"trunc": "5", "terms": []},
+        {"trunc": 5, "terms": [{"a": 1.9, "b": 1, "s": 0, "c": "3"}]},
+        {"trunc": 5, "terms": [{"a": 1, "b": True, "s": 0, "c": "3"}]},
+        {"trunc": 5, "terms": [{"a": 1, "b": 1, "s": "0", "c": "3"}]},
+        {"trunc": 5, "terms": [{"a": 1, "b": 1, "s": 0, "c": 3}]},
+        {"trunc": 5, "terms": [{"a": 1, "b": 1, "s": 0, "c": "3.0"}]},
+        {"trunc": 5, "terms": [{"a": 1, "b": 1, "s": 0, "c": " 3"}]},
+        {"trunc": 5, "terms": [{"a": 1, "b": 1, "s": 0, "c": "+3"}]},
+        {"trunc": 5, "terms": [{"a": 1, "b": 1, "s": 0, "c": "03"}]},
+        {"trunc": 5, "terms": [{"a": 1, "b": 1, "s": 0, "c": "3_0"}]},
+        {"trunc": 5, "terms": [{"a": 1, "b": 1, "s": 0, "c": "\u0663"}]},
+    ],
+)
+def test_from_json_obj_coerces_nothing(obj):
+    with pytest.raises((TypeError, ValueError)):
+        TriSeries.from_json_obj(obj)
 
 
 def test_str_rendering():
