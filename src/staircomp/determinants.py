@@ -89,7 +89,7 @@ class SeriesMatrix:
 def _z(trunc: int) -> TriSeries:
     """z = -1/(1-x) = -(1 + x + x^2 + ...), the superdiagonal entry of the
     system matrix."""
-    return TriSeries(trunc, (((a, 0, 0), -1) for a in range(trunc + 1)))
+    return TriSeries(trunc, {(a, 0, 0): -1 for a in range(trunc + 1)})
 
 
 def build_system(m: int, trunc: int = DEFAULT_TRUNC) -> tuple[SeriesMatrix, list[TriSeries]]:
@@ -235,11 +235,11 @@ def _cleared_top_sum(k: int, trunc: int) -> TriSeries:
     of size k times (1-x)^(k-1); a polynomial, and 0 for k = 0."""
     return TriSeries(
         trunc,
-        (
-            ((k * j - comb(j, 2) + t, j, 0), (-1) ** t * comb(k - 1 - j, t))
+        {
+            (k * j - comb(j, 2) + t, j, 0): (-1) ** t * comb(k - 1 - j, t)
             for j in range(k)
             for t in range(k - j)
-        ),
+        },
     )
 
 

@@ -19,6 +19,7 @@ from .determinants import (
     numerator_det,
     numerator_matrix,
 )
+from .oracle import _check_size
 from .series import DEFAULT_TRUNC, TriSeries, monomial, one, variables
 
 
@@ -110,8 +111,9 @@ def total_staircases(n: int, num_parts: int, m: int) -> int:
     anything below num_parts = m is clamped to 0; at num_parts = m - 1 the
     leading factor already vanishes, making this the tightest safe cut.
     """
-    if n < 1 or num_parts < 1 or m < 1:
-        raise ValueError("n, num_parts and m must all be positive")
+    _check_size("n", n)
+    _check_size("num_parts", num_parts)
+    _check_size("m", m)
     if num_parts < m:
         return 0
     top = n - 1 - comb(m, 2)
@@ -131,7 +133,5 @@ def _cleared_fraction(m: int, trunc: int) -> tuple[TriSeries, TriSeries]:
 
 
 def _validate(m: int, trunc: int) -> None:
-    if m < 1:
-        raise ValueError(f"pattern length must be >= 1, got {m}")
-    if trunc < 1:
-        raise ValueError(f"truncation order must be >= 1, got {trunc}")
+    _check_size("m", m)
+    _check_size("trunc", trunc)

@@ -10,7 +10,8 @@ reference the generating-function formulas are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import sub
 from typing import Iterator, Sequence
 
 MAX_ENUM_N = 24
@@ -60,17 +61,11 @@ class Histogram:
         return sum(self.counts.values())
 
 
-def _parts_from_mask(n: int, mask: int) -> tuple[int, ...]:
-    # Cut positions are the set bits; bit i cuts between positions i+1 and i+2.
-    parts = []
-    prev = 0
-    for pos in range(1, n):
-        if mask & 1:
-            parts.append(pos - prev)
-            prev = pos
-        mask >>= 1
-    parts.append(n - prev)
-    return tuple(parts)
+def _parts(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    # The k - 1 cut positions, chosen from 1..n-1, bound the k parts.
+    for cuts in combinations(range(1, n), k - 1):
+        bounds = (0, *cuts, n)
+        yield tuple(map(sub, bounds[1:], bounds))
 
 
 def _window_count(parts: Sequence[int], m: int) -> int:
@@ -84,6 +79,13 @@ def _window_count(parts: Sequence[int], m: int) -> int:
     return count
 
 
+def _check_size(name: str, value: int, least: int = 1) -> None:
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def _check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise EnumerationLimitError(
@@ -95,22 +97,15 @@ def _check_cap(n: int, cap: int) -> None:
 def compositions(n: int, cap: int = MAX_ENUM_N) -> Iterator[Composition]:
     """Yield every composition of n exactly once.
 
-    Compositions of n correspond to subsets of the n-1 possible cut
-    positions, so the enumeration walks bit masks.  n = 0 yields the empty
-    composition alone.
+    A composition of n with k parts is a choice of k - 1 of the n - 1 cut
+    positions, so the order is by part count, then lexicographically by
+    cut positions.  n = 0 yields the empty composition alone.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_size("n", n, least=0)
     _check_cap(n, cap)
-    return _compositions_iter(n)
-
-
-def _compositions_iter(n: int) -> Iterator[Composition]:
     if n == 0:
-        yield Composition(())
-        return
-    for mask in range(1 << (n - 1)):
-        yield Composition(_parts_from_mask(n, mask))
+        return iter((Composition(()),))
+    return map(Composition, chain.from_iterable(_parts(n, k) for k in range(1, n + 1)))
 
 
 def count_staircases(composition, m: int) -> int:
@@ -120,8 +115,7 @@ def count_staircases(composition, m: int) -> int:
     a composition with fewer than m parts contains none.  A plain sequence
     of parts is validated as a Composition first.
     """
-    if m < 1:
-        raise ValueError(f"pattern length must be a positive integer, got {m}")
+    _check_size("m", m)
     if not isinstance(composition, Composition):
         composition = Composition(tuple(composition))
     return _window_count(composition.parts, m)
@@ -129,29 +123,21 @@ def count_staircases(composition, m: int) -> int:
 
 def staircase_histogram(a: int, m: int, cap: int = MAX_ENUM_N) -> Histogram:
     """Classify all compositions of a by (number of parts, window count)."""
-    if a < 1:
-        raise ValueError(f"a must be positive, got {a}")
-    if m < 1:
-        raise ValueError(f"pattern length must be a positive integer, got {m}")
+    _check_size("a", a)
+    _check_size("m", m)
     _check_cap(a, cap)
     counts: dict[tuple[int, int], int] = {}
-    for mask in range(1 << (a - 1)):
-        parts = _parts_from_mask(a, mask)
-        key = (len(parts), _window_count(parts, m))
-        counts[key] = counts.get(key, 0) + 1
+    for b in range(1, a + 1):
+        for parts in _parts(a, b):
+            key = (b, _window_count(parts, m))
+            counts[key] = counts.get(key, 0) + 1
     return Histogram(a, counts)
 
 
 def total_staircases(n: int, num_parts: int, m: int, cap: int = MAX_ENUM_N) -> int:
     """Total window count over all compositions of n with exactly num_parts parts."""
-    if n < 1 or num_parts < 1 or m < 1:
-        raise ValueError("n, num_parts and m must all be positive")
+    _check_size("n", n)
+    _check_size("num_parts", num_parts)
+    _check_size("m", m)
     _check_cap(n, cap)
-    if num_parts > n:
-        return 0
-    total = 0
-    for cuts in combinations(range(1, n), num_parts - 1):
-        bounds = (0,) + cuts + (n,)
-        parts = tuple(bounds[i + 1] - bounds[i] for i in range(num_parts))
-        total += _window_count(parts, m)
-    return total
+    return sum(_window_count(parts, m) for parts in _parts(n, num_parts))

@@ -24,12 +24,12 @@ needs no bound.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 DEFAULT_TRUNC = 20
 
 Key = tuple[int, int, int]
-TermsLike = Union[Mapping[Key, int], Iterable[tuple[Key, int]], None]
+TermsLike = Union[Mapping[Key, int], None]
 
 
 class NonUnitError(ArithmeticError):
@@ -39,13 +39,15 @@ class NonUnitError(ArithmeticError):
 class TriSeries:
     """Immutable series in x, y and q, truncated at a fixed x-degree.
 
-    ``trunc`` is the largest retained x-degree.  Terms are stored sparsely
-    as a map from (x_deg, y_deg, q_deg) to a nonzero int.  Two series are
-    equal only when their orders and their terms are; compare series of
-    different orders through ``truncated``.  Binary operations truncate
-    their result to the smaller of the operands' orders.  The order,
-    exponents and coefficients must be plain ints (bools are rejected
-    too), and plain ints coerce to constant series.
+    ``trunc`` is the largest retained x-degree.  Terms are given, and
+    stored sparsely, as a mapping from (x_deg, y_deg, q_deg) to an int;
+    zero coefficients and terms above ``trunc`` are dropped, and anything
+    other than a mapping, such as a list of pairs, raises TypeError.  Two
+    series are equal only when their orders and their terms are; compare
+    series of different orders through ``truncated``.  Binary operations
+    truncate their result to the smaller of the operands' orders.  The
+    order, exponents and coefficients must be plain ints (bools are
+    rejected too), and plain ints coerce to constant series.
     """
 
     __slots__ = ("trunc", "_terms", "_slice_cache")
@@ -55,10 +57,11 @@ class TriSeries:
             raise TypeError(f"truncation order must be int, got {trunc!r}")
         if trunc < 1:
             raise ValueError(f"truncation order must be >= 1, got {trunc}")
-        acc: dict[Key, int] = {}
+        kept: dict[Key, int] = {}
         if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for (a, b, s), c in items:
+            if not hasattr(terms, "items"):
+                raise TypeError(f"terms must be a mapping, got {type(terms).__name__}")
+            for (a, b, s), c in terms.items():
                 if type(a) is not int or type(b) is not int or type(s) is not int:
                     raise TypeError(f"exponents must be int, got ({a!r}, {b!r}, {s!r})")
                 if a < 0 or b < 0 or s < 0:
@@ -66,10 +69,9 @@ class TriSeries:
                 if type(c) is not int:
                     raise TypeError(f"coefficients must be int, got {c!r} at ({a}, {b}, {s})")
                 if c and a <= trunc:
-                    key = (a, b, s)
-                    acc[key] = acc.get(key, 0) + c
+                    kept[a, b, s] = c
         self.trunc = trunc
-        self._terms = {k: c for k, c in acc.items() if c}
+        self._terms = kept
         self._slice_cache: dict[int, dict[tuple[int, int], int]] | None = None
 
     # -- inspection --------------------------------------------------------

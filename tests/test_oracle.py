@@ -1,11 +1,13 @@
 """Brute-force enumeration: known values and counting invariants."""
 
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from staircomp import genfun
 from staircomp.oracle import (
     Composition,
     EnumerationLimitError,
@@ -157,3 +159,41 @@ def test_histogram_matches_direct_recount(a, m):
         key = (len(c), count_staircases(c, m))
         recount[key] = recount.get(key, 0) + 1
     assert hist.counts == recount
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: staircase_histogram(4, True),
+        lambda: count_staircases((1, 2), True),
+        lambda: list(compositions(True)),
+        lambda: genfun.total_staircases(True, True, True),
+    ],
+    ids=["histogram", "count", "compositions", "closed-total"],
+)
+def test_bool_sizes_rejected(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def _compositions_by_first_part(n):
+    # Independent of the library: first part p, then every composition of n - p.
+    if n == 0:
+        return [()]
+    return [(p, *rest) for p in range(1, n + 1) for rest in _compositions_by_first_part(n - p)]
+
+
+def test_enumeration_matches_an_independent_recursion():
+    for n in range(13):
+        reference = _compositions_by_first_part(n)
+        assert len(set(reference)) == len(reference)
+        # The documented order: by part count, then by cut positions, which
+        # for a fixed part count order the parts lexicographically too.
+        assert [c.parts for c in compositions(n)] == sorted(reference, key=lambda p: (len(p), p))
+        if n == 0:
+            continue  # the histogram and the totals start at n = 1
+        for m in range(1, 5):
+            hist = Counter((len(p), count_staircases(p, m)) for p in reference)
+            assert staircase_histogram(n, m).counts == hist
+            for k in range(1, n + 1):
+                assert total_staircases(n, k, m) == sum(s * c for (b, s), c in hist.items() if b == k)

@@ -211,6 +211,12 @@ def test_non_int_truncation_orders_rejected():
             build()
 
 
+@pytest.mark.parametrize("build", [list, iter], ids=["list", "iterator"])
+def test_non_mapping_terms_rejected(build):
+    with pytest.raises(TypeError):
+        TriSeries(5, build([((1, 0, 0), 1), ((1, 0, 0), 2)]))
+
+
 def test_negative_exponents_rejected():
     with pytest.raises(ValueError):
         TriSeries(5, {(-1, 0, 0): 1})
