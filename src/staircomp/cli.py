@@ -1,21 +1,33 @@
 """Command-line interface: coefficient tables, verification runs, totals.
 
 Exit codes: 0 on success, 1 when a verification detects a mismatch, 2 for
-usage errors, an output path that cannot be written included.  The json and csv formats are stable for machine parsing;
-the text format is aligned for humans and makes no stability promise.
+usage errors.  Usage errors include an output path that cannot be
+written and a total beyond the enumeration cap (``--enum-cap``).  The
+json and csv formats are stable for machine parsing; the text format is
+aligned for humans and makes no stability promise.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
-from . import genfun, oracle, verify
-from .determinants import denominator_det, numerator_det
-from .series import DEFAULT_TRUNC, TriSeries
+from . import determinants, genfun, oracle, verify
+from .series import DEFAULT_TRUNC
 
 VERIFY_TRUNC = 14
+
+# series-dump --kind -> (module, name) of the function that computes it;
+# the first kind is the default.  The function is looked up on each call,
+# as in ``verify``, so that a rebinding of it (a test double, a tracer)
+# reaches the dump too.
+SERIES_KINDS = {
+    "gf": (genfun, "staircase_gf"),
+    "gf-q1": (genfun, "gf_at_q1"),
+    "total-gf": (genfun, "total_staircases_gf"),
+    "numerator-det": (determinants, "numerator_det"),
+    "denominator-det": (determinants, "denominator_det"),
+}
 
 
 class UsageError(Exception):
@@ -48,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--trunc", type=_positive_int, help="series truncation order (default max(20, max-n))")
     table.add_argument("--format", choices=("json", "csv", "text"), default="text")
     table.add_argument("--output", help="write to this path instead of stdout")
+    table.set_defaults(run=cmd_table)
 
     check = sub.add_parser(
         "verify",
@@ -58,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trunc", type=_positive_int, help="series truncation order (default max(14, max-n))")
     check.add_argument("--enum-cap", type=_positive_int, default=oracle.MAX_ENUM_N,
                        help="enumeration cap override")
+    check.set_defaults(run=cmd_verify)
 
     corollary = sub.add_parser(
         "corollary",
@@ -69,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     corollary.add_argument("--check", action="store_true",
                            help="also enumerate and fail on disagreement")
     corollary.add_argument("--enum-cap", type=_positive_int, default=oracle.MAX_ENUM_N)
+    corollary.set_defaults(run=cmd_corollary)
 
     orc = sub.add_parser(
         "oracle",
@@ -79,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--format", choices=("json", "csv", "text"), default="text")
     orc.add_argument("--output", help="write to this path instead of stdout")
     orc.add_argument("--enum-cap", type=_positive_int, default=oracle.MAX_ENUM_N)
+    orc.set_defaults(run=cmd_oracle)
 
     dump = sub.add_parser(
         "series-dump",
@@ -86,29 +102,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dump.add_argument("--m", type=_positive_int, required=True)
     dump.add_argument("--trunc", type=_positive_int, default=DEFAULT_TRUNC)
-    dump.add_argument(
-        "--kind",
-        choices=("gf", "gf-q1", "total-gf", "numerator-det", "denominator-det"),
-        default="gf",
-    )
+    dump.add_argument("--kind", choices=tuple(SERIES_KINDS), default=next(iter(SERIES_KINDS)))
     dump.add_argument("--output", help="write to this path instead of stdout")
+    dump.set_defaults(run=cmd_series_dump)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers: dict[str, Callable[[argparse.Namespace], int]] = {
-        "table": cmd_table,
-        "verify": cmd_verify,
-        "corollary": cmd_corollary,
-        "oracle": cmd_oracle,
-        "series-dump": cmd_series_dump,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except UsageError as exc:
+        return args.run(args)
+    except (UsageError, oracle.EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -129,6 +134,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # Before any work: the oracle would raise only at total cap + 1, after
+    # enumerating every total up to the cap.
     if args.max_n > args.enum_cap:
         raise UsageError(
             f"--max-n {args.max_n} exceeds the enumeration cap {args.enum_cap}"
@@ -152,8 +159,6 @@ def cmd_corollary(args: argparse.Namespace) -> int:
     print(value)
     if not args.check:
         return 0
-    if args.n > args.enum_cap:
-        raise UsageError(f"--n {args.n} exceeds the enumeration cap {args.enum_cap}")
     reference = oracle.total_staircases(args.n, args.parts, args.m, cap=args.enum_cap)
     print(f"oracle {reference}")
     if reference != value:
@@ -167,8 +172,6 @@ def cmd_corollary(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.n > args.enum_cap:
-        raise UsageError(f"--n {args.n} exceeds the enumeration cap {args.enum_cap}")
     hist = oracle.staircase_histogram(args.n, args.m, cap=args.enum_cap)
     rows = [(b, s, c) for (b, s), c in sorted(hist.counts.items())]
     _emit(_render_rows(rows, ("b", "s", "count"), args.format), args.output)
@@ -176,14 +179,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_series_dump(args: argparse.Namespace) -> int:
-    producers: dict[str, Callable[[int, int], TriSeries]] = {
-        "gf": genfun.staircase_gf,
-        "gf-q1": genfun.gf_at_q1,
-        "total-gf": genfun.total_staircases_gf,
-        "numerator-det": numerator_det,
-        "denominator-det": denominator_det,
-    }
-    series = producers[args.kind](args.m, args.trunc)
+    module, name = SERIES_KINDS[args.kind]
+    series = getattr(module, name)(args.m, args.trunc)
     _emit(_render_series(series.to_json_obj()), args.output)
     return 0
 

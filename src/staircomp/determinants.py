@@ -32,7 +32,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Sequence
 
-from .series import DEFAULT_TRUNC, TriSeries, monomial, one, variables, zero
+from .series import DEFAULT_TRUNC, TriSeries, _check_size, monomial, one, variables, zero
 
 DET_DIM_LIMIT = 8
 """Default cap for direct determinant expansion (cost grows with 2^dim)."""
@@ -102,8 +102,7 @@ def build_system(m: int, trunc: int = DEFAULT_TRUNC) -> tuple[SeriesMatrix, list
     numbers; the final row closes a completed window and is the only place
     the marker q appears.
     """
-    if m < 1:
-        raise ValueError(f"pattern length must be >= 1, got {m}")
+    _check_size("m", m)
     z = _z(trunc)
     dim = m + 1
     rows = [[zero(trunc) for _ in range(dim)] for _ in range(dim)]
@@ -135,16 +134,14 @@ def numerator_matrix(m: int, trunc: int = DEFAULT_TRUNC) -> SeriesMatrix:
 
 def top_block_matrix(k: int, trunc: int = DEFAULT_TRUNC) -> SeriesMatrix:
     """Leading k x k block of the numerator matrix (q never appears), k >= 1."""
-    if k < 1:
-        raise ValueError(f"block size must be >= 1, got {k}")
+    _check_size("k", k)
     idx = range(k)
     return numerator_matrix(k, trunc).submatrix(idx, idx)
 
 
 def inner_block_matrix(k: int, trunc: int = DEFAULT_TRUNC) -> SeriesMatrix:
     """The k x k block after stripping the first row and column, k >= 1."""
-    if k < 1:
-        raise ValueError(f"block size must be >= 1, got {k}")
+    _check_size("k", k)
     matrix, _ = build_system(k + 1, trunc)
     idx = range(1, k + 1)
     return matrix.submatrix(idx, idx)
@@ -199,8 +196,7 @@ def top_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") -> T
     U~_k = sum_{j<k} x^(kj - C(j,2)) y^j (1-x)^(k-1-j) over (1-x)^(k-1).
     The size-0 value is 0, the seed the recurrence needs.
     """
-    if k < 0:
-        raise ValueError(f"block size must be >= 0, got {k}")
+    _check_size("k", k, least=0)
     _check_mode(mode)
     if mode == "closed":
         x = monomial(1, 0, 0, 1, trunc)
@@ -220,8 +216,7 @@ def inner_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") ->
     u = y/(1-x) and psi = (1-x-xy)/(1-x).  It is evaluated as the cleared
     polynomial x^C(k+2,2) y^(k+1) + (1-x-xy) U~_{k+1} over (1-x)^(k+1).
     """
-    if k < -1:
-        raise ValueError(f"block size must be >= -1, got {k}")
+    _check_size("k", k, least=-1)
     _check_mode(mode)
     if mode == "closed":
         x = monomial(1, 0, 0, 1, trunc)
@@ -275,8 +270,7 @@ def _recurrence(n: int, before: TriSeries, start: TriSeries) -> TriSeries:
 def numerator_det(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     """det of the numerator matrix, via its last-row cofactor expansion:
     top_block_det(m) + z q x^m y top_block_det(m-1)."""
-    if m < 1:
-        raise ValueError(f"pattern length must be >= 1, got {m}")
+    _check_size("m", m)
     z = _z(trunc)
     marker = monomial(m, 1, 1, 1, trunc)  # q x^m y
     return top_block_det(m, trunc) + z * marker * top_block_det(m - 1, trunc)
@@ -285,8 +279,7 @@ def numerator_det(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
 def denominator_det(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     """det of the system matrix, via its last-row cofactor expansion:
     inner_block_det(m-1) + z q x^m y inner_block_det(m-2)."""
-    if m < 1:
-        raise ValueError(f"pattern length must be >= 1, got {m}")
+    _check_size("m", m)
     z = _z(trunc)
     marker = monomial(m, 1, 1, 1, trunc)
     return inner_block_det(m - 1, trunc) + z * marker * inner_block_det(m - 2, trunc)

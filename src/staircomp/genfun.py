@@ -19,8 +19,7 @@ from .determinants import (
     numerator_det,
     numerator_matrix,
 )
-from .oracle import _check_size
-from .series import DEFAULT_TRUNC, TriSeries, monomial, one, variables
+from .series import DEFAULT_TRUNC, TriSeries, _check_size, monomial, one, variables
 
 
 def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:

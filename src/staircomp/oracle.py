@@ -14,6 +14,8 @@ from itertools import chain, combinations
 from operator import sub
 from typing import Iterator, Sequence
 
+from .series import _check_size
+
 MAX_ENUM_N = 24
 """Default enumeration cap: 2^23 compositions, the largest casual run."""
 
@@ -77,13 +79,6 @@ def _window_count(parts: Sequence[int], m: int) -> int:
         else:
             count += 1
     return count
-
-
-def _check_size(name: str, value: int, least: int = 1) -> None:
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _check_cap(n: int, cap: int) -> None:

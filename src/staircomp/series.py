@@ -50,13 +50,10 @@ class TriSeries:
     rejected too), and plain ints coerce to constant series.
     """
 
-    __slots__ = ("trunc", "_terms", "_slice_cache")
+    __slots__ = ("trunc", "_terms")
 
     def __init__(self, trunc: int, terms: TermsLike = None):
-        if type(trunc) is not int:
-            raise TypeError(f"truncation order must be int, got {trunc!r}")
-        if trunc < 1:
-            raise ValueError(f"truncation order must be >= 1, got {trunc}")
+        _check_size("trunc", trunc)
         kept: dict[Key, int] = {}
         if terms is not None:
             if not hasattr(terms, "items"):
@@ -72,14 +69,14 @@ class TriSeries:
                     kept[a, b, s] = c
         self.trunc = trunc
         self._terms = kept
-        self._slice_cache: dict[int, dict[tuple[int, int], int]] | None = None
 
     # -- inspection --------------------------------------------------------
 
     def coeff(self, a: int, b: int, s: int) -> int:
         """Exact coefficient of x^a y^b q^s (zero for absent terms)."""
-        if a < 0 or b < 0 or s < 0:
-            raise ValueError("exponents must be non-negative")
+        _check_size("x-degree", a, least=0)
+        _check_size("y-degree", b, least=0)
+        _check_size("q-degree", s, least=0)
         if a > self.trunc:
             raise ValueError(f"x-degree {a} exceeds truncation order {self.trunc}")
         return self._terms.get((a, b, s), 0)
@@ -280,13 +277,11 @@ class TriSeries:
     # -- internals -------------------------------------------------------------
 
     def _slices(self) -> dict[int, dict[tuple[int, int], int]]:
-        """Terms regrouped by x-degree (cached; treated as read-only)."""
-        if self._slice_cache is None:
-            grouped: dict[int, dict[tuple[int, int], int]] = {}
-            for (a, b, s), c in self._terms.items():
-                grouped.setdefault(a, {})[b, s] = c
-            self._slice_cache = grouped
-        return self._slice_cache
+        """Terms regrouped by x-degree, afresh on every call."""
+        grouped: dict[int, dict[tuple[int, int], int]] = {}
+        for (a, b, s), c in self._terms.items():
+            grouped.setdefault(a, {})[b, s] = c
+        return grouped
 
     def _coerce(self, other) -> TriSeries | None:
         if isinstance(other, TriSeries):
@@ -294,6 +289,16 @@ class TriSeries:
         if type(other) is int:
             return TriSeries(self.trunc, {(0, 0, 0): other})
         return None
+
+
+def _check_size(name: str, value: int, least: int = 1) -> None:
+    """The rule for every size, order and degree an entry point takes: a
+    plain int (a bool or float raises TypeError) of at least ``least``
+    (else ValueError)."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _parse_coeff(text) -> int:

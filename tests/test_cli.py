@@ -144,6 +144,23 @@ def test_verify_rejects_totals_beyond_the_cap(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv, out_before",
+    [
+        (("oracle", "--n", "30", "--m", "2"), ""),
+        (("corollary", "--n", "30", "--parts", "3", "--m", "2", "--check"), "756\n"),
+    ],
+    ids=["oracle", "corollary-check"],
+)
+def test_enumeration_beyond_the_cap_is_a_usage_error(capsys, argv, out_before):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    # The formula's value is printed before the enumeration is attempted.
+    assert out == out_before
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cap" in err
+
+
 def test_corollary_prints_the_total(capsys):
     code, out, _ = run(capsys, "corollary", "--n", "4", "--parts", "2", "--m", "2")
     assert code == 0

@@ -1,5 +1,6 @@
 """System construction and the determinant reductions."""
 
+import re
 from math import comb
 
 import pytest
@@ -222,3 +223,27 @@ def test_block_size_validation():
         top_block_matrix(0, N)
     with pytest.raises(ValueError):
         build_system(0, N)
+
+
+# Every entry point with the name of its size argument and the least size.
+SIZED_ENTRY_POINTS = [
+    (build_system, "m", 1),
+    (top_block_matrix, "k", 1),
+    (inner_block_matrix, "k", 1),
+    (numerator_det, "m", 1),
+    (denominator_det, "m", 1),
+    (top_block_det, "k", 0),
+    (inner_block_det, "k", -1),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, name, least", SIZED_ENTRY_POINTS, ids=[e.__name__ for e, _, _ in SIZED_ENTRY_POINTS]
+)
+def test_sizes_must_be_ints_of_at_least_the_least_size(entry, name, least):
+    for bad in (True, False, 2.0, least + 0.0):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+            entry(bad, N)
+    with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got {least - 1}$"):
+        entry(least - 1, N)
+    entry(least, N)

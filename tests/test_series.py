@@ -152,6 +152,18 @@ def test_coeff_validates_range():
         f.coeff(1, -1, 0)
 
 
+@pytest.mark.parametrize(
+    "exponents",
+    [(True, 1, 0), (1.0, 1, 0), (1, 1.0, 0), (1, 1, False)],
+    ids=["bool-x", "float-x", "float-y", "bool-q"],
+)
+def test_coeff_rejects_non_int_exponents(exponents):
+    # The x y coefficient is 1, which a bool or float exponent used to read.
+    f = monomial(1, 1, 0, 1, N)
+    with pytest.raises(TypeError, match="-degree must be an int"):
+        f.coeff(*exponents)
+
+
 def test_substitute_q_one():
     _, _, q = variables(N)
     assert q.at_q1() == one(N)
