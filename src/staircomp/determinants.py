@@ -89,6 +89,7 @@ class SeriesMatrix:
 def _z(trunc: int) -> TriSeries:
     """z = -1/(1-x) = -(1 + x + x^2 + ...), the superdiagonal entry of the
     system matrix."""
+    _check_size("trunc", trunc)  # before range() sees a float
     return TriSeries(trunc, {(a, 0, 0): -1 for a in range(trunc + 1)})
 
 

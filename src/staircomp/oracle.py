@@ -5,14 +5,26 @@ there are 2^(n-1) of them for n >= 1.  A staircase window of length m is a
 run of m consecutive parts whose j-th part is at least j; occurrences may
 overlap.  Everything here is computed by exhaustive enumeration and is the
 reference the generating-function formulas are tested against.
+
+The counts read each composition as a binary word: a part p is the letter
+1 followed by p - 1 letters 0.  The words of n are the binary numerals
+2^(n-1) .. 2^n - 1, so counting runs over that range and visits every
+composition once; the number of parts is the numeral's bit count.  A
+window is then a factor 1 0^{>=0} 1 0^{>=1} ... 1 0^{>=m-1} of the word,
+found by one compiled lookahead pattern at every start, so overlapping
+windows all count.  No states are merged: the histogram of n is a census
+of all 2^(n-1) words.
 """
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from operator import sub
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .series import _check_size
 
@@ -70,15 +82,22 @@ def _parts(n: int, k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(sub, bounds[1:], bounds))
 
 
-def _window_count(parts: Sequence[int], m: int) -> int:
-    count = 0
-    for i in range(len(parts) - m + 1):
-        for j in range(m):
-            if parts[i + j] < j + 1:
-                break
-        else:
-            count += 1
-    return count
+def _windows(m: int):
+    """findall of the window rule on words: part j of a window is 1 followed
+    by at least j - 1 letters 0.  The lookahead matches once at every start
+    of a window, overlapping ones included."""
+    return re.compile("(?=" + "".join(f"10{{{j},}}" for j in range(m)) + ")").findall
+
+
+@lru_cache(maxsize=1)
+def _census(n: int, m: int) -> Counter:
+    """(parts, windows) -> count over every composition of n >= 1, read
+    from the numerals 2^(n-1) .. 2^n - 1.  A window needs m parts and a
+    composition of n has at most n, so any m > n runs as m = n + 1, whose
+    pattern never matches and stays short."""
+    findall = _windows(min(m, n + 1))
+    words = range(1 << (n - 1), 1 << n)
+    return Counter(zip(map(int.bit_count, words), map(len, map(findall, map(bin, words)))))
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -113,7 +132,10 @@ def count_staircases(composition, m: int) -> int:
     _check_size("m", m)
     if not isinstance(composition, Composition):
         composition = Composition(tuple(composition))
-    return _window_count(composition.parts, m)
+    # A window compares parts with 1..m only and needs m parts, so capping
+    # each part at m letters and m at one more than the parts changes no count.
+    m = min(m, len(composition) + 1)
+    return len(_windows(m)("".join("1" + "0" * (min(p, m) - 1) for p in composition)))
 
 
 def staircase_histogram(a: int, m: int, cap: int = MAX_ENUM_N) -> Histogram:
@@ -121,12 +143,7 @@ def staircase_histogram(a: int, m: int, cap: int = MAX_ENUM_N) -> Histogram:
     _check_size("a", a)
     _check_size("m", m)
     _check_cap(a, cap)
-    counts: dict[tuple[int, int], int] = {}
-    for b in range(1, a + 1):
-        for parts in _parts(a, b):
-            key = (b, _window_count(parts, m))
-            counts[key] = counts.get(key, 0) + 1
-    return Histogram(a, counts)
+    return Histogram(a, dict(_census(a, m)))
 
 
 def total_staircases(n: int, num_parts: int, m: int, cap: int = MAX_ENUM_N) -> int:
@@ -135,4 +152,4 @@ def total_staircases(n: int, num_parts: int, m: int, cap: int = MAX_ENUM_N) -> i
     _check_size("num_parts", num_parts)
     _check_size("m", m)
     _check_cap(n, cap)
-    return sum(_window_count(parts, m) for parts in _parts(n, num_parts))
+    return sum(s * c for (b, s), c in _census(n, m).items() if b == num_parts)

@@ -247,3 +247,14 @@ def test_sizes_must_be_ints_of_at_least_the_least_size(entry, name, least):
     with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got {least - 1}$"):
         entry(least - 1, N)
     entry(least, N)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [build_system, top_block_matrix, inner_block_matrix, numerator_det, denominator_det],
+    ids=lambda e: e.__name__,
+)
+def test_truncation_orders_must_be_ints(entry):
+    for bad in (2.5, True):
+        with pytest.raises(TypeError, match=f"^trunc must be an int, got {re.escape(repr(bad))}$"):
+            entry(2, bad)

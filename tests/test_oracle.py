@@ -197,3 +197,73 @@ def test_enumeration_matches_an_independent_recursion():
             assert staircase_histogram(n, m).counts == hist
             for k in range(1, n + 1):
                 assert total_staircases(n, k, m) == sum(s * c for (b, s), c in hist.items() if b == k)
+
+
+def _windows_by_definition(parts, m):
+    # The definition, independent of the library: a run of m consecutive
+    # parts whose j-th part is at least j, at every start.
+    count = 0
+    for i in range(len(parts) - m + 1):
+        if all(parts[i + j] >= j + 1 for j in range(m)):
+            count += 1
+    return count
+
+
+def _histogram_by_definition(n, m):
+    return Counter((len(p), _windows_by_definition(p, m)) for p in _compositions_by_first_part(n))
+
+
+def _total(hist, k):
+    return sum(s * c for (b, s), c in hist.items() if b == k)
+
+
+def test_counts_match_the_definition():
+    for n in range(1, 13):
+        reference = _compositions_by_first_part(n)
+        for m in range(1, 9):
+            hist = _histogram_by_definition(n, m)
+            assert staircase_histogram(n, m).counts == hist
+            for k in range(1, n + 2):
+                assert total_staircases(n, k, m) == _total(hist, k)
+            assert [count_staircases(p, m) for p in reference] == [
+                _windows_by_definition(p, m) for p in reference
+            ]
+
+
+def test_huge_parts_count_like_any_part_of_at_least_m():
+    assert count_staircases([10**9, 10**9], 2) == 1
+    assert count_staircases([10**9, 10**9, 3], 3) == 1
+    assert count_staircases([10**9], 10**9) == 0
+
+
+@given(st.lists(st.integers(1, 10**6), max_size=12), st.integers(1, 8))
+def test_window_count_matches_the_definition(parts, m):
+    assert count_staircases(parts, m) == _windows_by_definition(parts, m)
+
+
+def test_mutating_a_histogram_changes_no_later_count():
+    want = _histogram_by_definition(9, 3)
+    first = staircase_histogram(9, 3)
+    first.counts.clear()
+    first.counts[1, 5] = 7
+    assert staircase_histogram(9, 3).counts == want
+    for k in range(1, 10):
+        assert total_staircases(9, k, 3) == _total(want, k)
+
+
+def test_interleaved_calls_equal_fresh_results():
+    want = {(n, m): _histogram_by_definition(n, m) for n in (7, 8) for m in (2, 3)}
+    order = [(7, 2), (8, 3), (7, 2), (7, 3), (8, 2), (8, 3), (7, 3), (8, 2)]
+    for (n, m), other in zip(order, order[1:]):
+        assert staircase_histogram(n, m).counts == want[n, m]
+        for k in range(1, n + 1):
+            assert total_staircases(n, k, m) == _total(want[n, m], k)
+            # A call for another (n, m) between two totals of this one.
+            assert staircase_histogram(*other).counts == want[other]
+
+
+def test_totals_beyond_every_part_count_are_zero():
+    for n in range(1, 10):
+        for m in (1, 2, 4):
+            for k in range(n + 1, n + 4):
+                assert total_staircases(n, k, m) == 0
