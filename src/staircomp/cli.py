@@ -142,13 +142,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     trunc = _table_trunc(args.trunc, args.max_n, default=VERIFY_TRUNC)
     failures = 0
-    for name, check in verify.CHECKS:
-        problem = check(args.m, args.max_n, trunc, args.enum_cap)
-        if problem is None:
-            print(f"PASS {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name}: {problem}")
+    # One census per total for the whole run: the checks share it.
+    with oracle.shared_census():
+        for name, check in verify.CHECKS:
+            problem = check(args.m, args.max_n, trunc, args.enum_cap)
+            if problem is None:
+                print(f"PASS {name}")
+            else:
+                failures += 1
+                print(f"FAIL {name}: {problem}")
     total = len(verify.CHECKS)
     print(f"{total - failures}/{total} checks passed (m={args.m}, max_n={args.max_n}, trunc={trunc})")
     return 1 if failures else 0

@@ -14,14 +14,21 @@ window is then a factor 1 0^{>=0} 1 0^{>=1} ... 1 0^{>=m-1} of the word,
 found by one compiled lookahead pattern at every start, so overlapping
 windows all count.  No states are merged: the histogram of n is a census
 of all 2^(n-1) words.
+
+Inside a ``shared_census()`` block each census of one (n, m) is built at
+most once and then read by every histogram and total that asks for it;
+``verify`` runs its checks in one block, so the histogram check and the
+totals check share one pass over each total.  The memo is dropped when
+the outermost block exits, so no census outlives the run, and outside
+any block every call enumerates afresh.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations
 from operator import sub
 from typing import Iterator
@@ -75,6 +82,16 @@ class Histogram:
         return sum(self.counts.values())
 
 
+def _trusted(tuples: Iterator[tuple[int, ...]]) -> Iterator[Composition]:
+    """Compositions of part tuples the enumerator built itself, whose parts
+    are positive ints already: ``__post_init__``'s checks are skipped."""
+    new, set_parts = object.__new__, Composition.parts.__set__
+    for parts in tuples:
+        composition = new(Composition)
+        set_parts(composition, parts)
+        yield composition
+
+
 def _parts(n: int, k: int) -> Iterator[tuple[int, ...]]:
     # The k - 1 cut positions, chosen from 1..n-1, bound the k parts.
     for cuts in combinations(range(1, n), k - 1):
@@ -89,18 +106,53 @@ def _windows(m: int):
     return re.compile("(?=" + "".join(f"10{{{j},}}" for j in range(m)) + ")").findall
 
 
-@lru_cache(maxsize=1)
-def _census(n: int, m: int) -> Counter:
+def _enumerate(n: int, m: int) -> Counter:
     """(parts, windows) -> count over every composition of n >= 1, read
-    from the numerals 2^(n-1) .. 2^n - 1.  A window needs m parts and a
-    composition of n has at most n, so any m > n runs as m = n + 1, whose
-    pattern never matches and stays short."""
-    findall = _windows(min(m, n + 1))
+    from the numerals 2^(n-1) .. 2^n - 1."""
+    findall = _windows(m)
     words = range(1 << (n - 1), 1 << n)
     return Counter(zip(map(int.bit_count, words), map(len, map(findall, map(bin, words)))))
 
 
+_memo: dict[tuple[int, int], Counter] | None = None
+"""The censuses of the open ``shared_census()`` block, or None outside one."""
+
+
+@contextmanager
+def shared_census():
+    """Build each census at most once until the block exits.
+
+    A nested block joins the outer one's memo, and the memo is dropped
+    when the outermost block exits, also by an exception.
+    """
+    global _memo
+    if _memo is not None:
+        yield
+        return
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
+
+
+def _census(n: int, m: int) -> Counter:
+    """The census of n, read from the open block's memo if it is there.
+    A window needs m parts and a composition of n has at most n, so any
+    m > n runs as m = n + 1, whose pattern never matches and stays short.
+    Callers must not mutate the result: it may be shared."""
+    key = n, min(m, n + 1)
+    memo = _memo
+    if memo is None:
+        return _enumerate(*key)
+    census = memo.get(key)
+    if census is None:
+        census = memo[key] = _enumerate(*key)
+    return census
+
+
 def _check_cap(n: int, cap: int) -> None:
+    _check_size("cap", cap, least=0)
     if n > cap:
         raise EnumerationLimitError(
             f"enumerating compositions of {n} means 2^{n - 1} cases, "
@@ -119,7 +171,7 @@ def compositions(n: int, cap: int = MAX_ENUM_N) -> Iterator[Composition]:
     _check_cap(n, cap)
     if n == 0:
         return iter((Composition(()),))
-    return map(Composition, chain.from_iterable(_parts(n, k) for k in range(1, n + 1)))
+    return _trusted(chain.from_iterable(_parts(n, k) for k in range(1, n + 1)))
 
 
 def count_staircases(composition, m: int) -> int:

@@ -8,6 +8,10 @@ enumeration cap ``cap``, ignoring the ones it does not need.  It returns
 None when the check holds, or a short description of the first
 disagreement found.
 
+The two checks against enumeration each open ``oracle.shared_census()``,
+so either one alone builds each census once; run inside one outer block,
+as ``staircomp verify`` runs them, they share every census between them.
+
 The layers are reached through their module attributes, never through
 names imported into this module, so that a test or a tracer that rebinds
 a layer's function also reaches the calls made from here.
@@ -25,12 +29,13 @@ def check_gf_vs_oracle(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
     by_total: dict[int, dict] = {}
     for (a, b, s), c in genfun.staircase_gf(m, trunc).terms():
         by_total.setdefault(a, {})[a, b, s] = c
-    for a in range(1, max_n + 1):
-        hist = oracle.staircase_histogram(a, m, cap=cap)
-        want = {(a, b, s): c for (b, s), c in hist.counts.items()}
-        problem = _first_diff(by_total.get(a, {}), want, "series", "enumeration")
-        if problem:
-            return problem
+    with oracle.shared_census():
+        for a in range(1, max_n + 1):
+            hist = oracle.staircase_histogram(a, m, cap=cap)
+            want = {(a, b, s): c for (b, s), c in hist.counts.items()}
+            problem = _first_diff(by_total.get(a, {}), want, "series", "enumeration")
+            if problem:
+                return problem
     return None
 
 
@@ -58,14 +63,15 @@ def check_block_dets(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
 
 def check_totals(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
     """Closed-form window totals against enumeration, n = 1..max_n."""
-    for n in range(1, max_n + 1):
-        for parts in range(1, n + 1):
-            formula = genfun.total_staircases(n, parts, m)
-            brute = oracle.total_staircases(n, parts, m, cap=cap)
-            if formula != brute:
-                return (
-                    f"n={n}, parts={parts}: formula {formula} vs enumeration {brute}"
-                )
+    with oracle.shared_census():
+        for n in range(1, max_n + 1):
+            for parts in range(1, n + 1):
+                formula = genfun.total_staircases(n, parts, m)
+                brute = oracle.total_staircases(n, parts, m, cap=cap)
+                if formula != brute:
+                    return (
+                        f"n={n}, parts={parts}: formula {formula} vs enumeration {brute}"
+                    )
     return None
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from staircomp import cli, determinants, genfun, oracle
+from staircomp import cli, determinants, genfun, oracle, verify
 from staircomp.series import TriSeries, monomial
 
 
@@ -136,6 +136,23 @@ def test_verify_reports_mismatches(capsys, monkeypatch, name, module, attr, make
     # The report names the failing check, the first offending point and both values.
     assert f"FAIL {name}: {difference}\n" in out
     assert "4/5 checks passed" in out
+
+
+def test_verify_enumerates_each_total_once_per_run(capsys, builds):
+    first = run(capsys, "verify", "--m", "3", "--max-n", "9")
+    assert first[0] == 0
+    assert [n for n, _ in builds] == list(range(1, 10))
+    # No census survives the run: an identical second run enumerates anew.
+    assert run(capsys, "verify", "--m", "3", "--max-n", "9") == first
+    assert [n for n, _ in builds] == list(range(1, 10)) * 2
+    assert oracle._memo is None
+
+
+def test_each_enumeration_check_alone_enumerates_each_total_once(builds):
+    for check in (verify.check_gf_vs_oracle, verify.check_totals):
+        builds.clear()
+        assert check(2, 8, 14) is None
+        assert [n for n, _ in builds] == list(range(1, 9))
 
 
 def test_verify_rejects_totals_beyond_the_cap(capsys):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from staircomp import genfun
+from staircomp import genfun, oracle
 from staircomp.oracle import (
     Composition,
     EnumerationLimitError,
     compositions,
     count_staircases,
+    shared_census,
     staircase_histogram,
     total_staircases,
 )
@@ -110,11 +111,46 @@ def test_enumeration_cap():
     assert sum(1 for _ in compositions(6, cap=6)) == 32
 
 
+@pytest.mark.parametrize(
+    "cap, error",
+    [(True, TypeError), (2.5, TypeError), (None, TypeError), (-1, ValueError)],
+    ids=["bool", "float", "none", "negative"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cap: list(compositions(0, cap=cap)),
+        lambda cap: list(compositions(2, cap=cap)),
+        lambda cap: staircase_histogram(1, 2, cap=cap),
+        lambda cap: total_staircases(2, 1, 1, cap=cap),
+    ],
+    ids=["compositions-empty", "compositions", "histogram", "totals"],
+)
+def test_cap_must_be_a_non_negative_int(call, cap, error):
+    with pytest.raises(error, match="^cap must be"):
+        call(cap)
+
+
 def test_composition_rejects_bad_parts():
     with pytest.raises(ValueError):
         Composition((1, 0, 2))
     with pytest.raises(ValueError):
         Composition((True, 2))
+    with pytest.raises(ValueError):
+        Composition((2.0,))
+    with pytest.raises(ValueError):
+        Composition((-1, 3))
+
+
+def test_enumerated_compositions_equal_publicly_built_ones():
+    for n in range(13):
+        for c in compositions(n):
+            public = Composition(c.parts)
+            assert type(c) is Composition
+            assert c == public and hash(c) == hash(public)
+            assert c.weight == n and len(c) == len(public) and tuple(c) == c.parts
+            with pytest.raises(AttributeError):
+                c.parts = (n,)
 
 
 def test_count_staircases_rejects_non_positive_parts():
@@ -194,9 +230,12 @@ def test_enumeration_matches_an_independent_recursion():
             continue  # the histogram and the totals start at n = 1
         for m in range(1, 5):
             hist = Counter((len(p), count_staircases(p, m)) for p in reference)
-            assert staircase_histogram(n, m).counts == hist
-            for k in range(1, n + 1):
-                assert total_staircases(n, k, m) == sum(s * c for (b, s), c in hist.items() if b == k)
+            with shared_census():  # one enumeration for the histogram and every total
+                assert staircase_histogram(n, m).counts == hist
+                for k in range(1, n + 1):
+                    assert total_staircases(n, k, m) == sum(
+                        s * c for (b, s), c in hist.items() if b == k
+                    )
 
 
 def _windows_by_definition(parts, m):
@@ -222,9 +261,10 @@ def test_counts_match_the_definition():
         reference = _compositions_by_first_part(n)
         for m in range(1, 9):
             hist = _histogram_by_definition(n, m)
-            assert staircase_histogram(n, m).counts == hist
-            for k in range(1, n + 2):
-                assert total_staircases(n, k, m) == _total(hist, k)
+            with shared_census():  # one enumeration for the histogram and every total
+                assert staircase_histogram(n, m).counts == hist
+                for k in range(1, n + 2):
+                    assert total_staircases(n, k, m) == _total(hist, k)
             assert [count_staircases(p, m) for p in reference] == [
                 _windows_by_definition(p, m) for p in reference
             ]
@@ -267,3 +307,59 @@ def test_totals_beyond_every_part_count_are_zero():
         for m in (1, 2, 4):
             for k in range(n + 1, n + 4):
                 assert total_staircases(n, k, m) == 0
+
+
+def test_every_call_enumerates_outside_a_block(builds):
+    staircase_histogram(6, 2)
+    staircase_histogram(6, 2)
+    total_staircases(6, 3, 2)
+    assert builds == [(6, 2)] * 3
+
+
+def test_a_block_builds_each_census_once(builds):
+    with shared_census():
+        for _ in range(2):
+            staircase_histogram(6, 2)
+            for k in range(1, 8):
+                total_staircases(6, k, 2)
+        # m beyond n + 1 is the same census as m = n + 1.
+        staircase_histogram(3, 4)
+        staircase_histogram(3, 9)
+        total_staircases(3, 1, 5)
+    assert builds == [(6, 2), (3, 4)]
+
+
+def test_nested_blocks_share_one_memo(builds):
+    with shared_census():
+        staircase_histogram(5, 2)
+        with shared_census():
+            staircase_histogram(5, 2)
+            staircase_histogram(5, 3)
+        # Still open: the inner exit kept the outer memo.
+        staircase_histogram(5, 3)
+        total_staircases(5, 2, 2)
+    assert builds == [(5, 2), (5, 3)]
+
+
+def test_no_census_outlives_its_block(builds):
+    with shared_census():
+        staircase_histogram(7, 3)
+    staircase_histogram(7, 3)
+    with pytest.raises(KeyError):
+        with shared_census():
+            staircase_histogram(7, 3)
+            raise KeyError("inside the block")
+    staircase_histogram(7, 3)
+    assert builds == [(7, 3)] * 4
+    assert oracle._memo is None
+
+
+def test_mutating_a_histogram_inside_a_block_changes_no_later_count():
+    want = _histogram_by_definition(9, 3)
+    with shared_census():
+        first = staircase_histogram(9, 3)
+        first.counts.clear()
+        first.counts[1, 5] = 7
+        assert staircase_histogram(9, 3).counts == want
+        for k in range(1, 10):
+            assert total_staircases(9, k, 3) == _total(want, k)
