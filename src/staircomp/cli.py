@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table.add_argument("--m", type=_positive_int, required=True, help="staircase window length")
     table.add_argument("--max-n", type=_positive_int, required=True, help="largest total a to include")
-    table.add_argument("--trunc", type=_positive_int, help="series truncation order (default max(20, max-n))")
     table.add_argument("--format", choices=("json", "csv", "text"), default="text")
     table.add_argument("--output", help="write to this path instead of stdout")
     table.set_defaults(run=cmd_table)
@@ -122,13 +121,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    trunc = _table_trunc(args.trunc, args.max_n)
-    gf = genfun.staircase_gf(args.m, trunc)
-    rows = [
-        (a, b, s, c)
-        for (a, b, s), c in gf.terms()
-        if 1 <= a <= args.max_n
-    ]
+    gf = genfun.staircase_gf(args.m, args.max_n)
+    rows = [(a, b, s, c) for (a, b, s), c in gf.terms() if a >= 1]
     _emit(_render_rows(rows, ("a", "b", "s", "count"), args.format), args.output)
     return 0
 
@@ -136,11 +130,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     # Before any work: the oracle would raise only at total cap + 1, after
     # enumerating every total up to the cap.
-    if args.max_n > args.enum_cap:
-        raise UsageError(
-            f"--max-n {args.max_n} exceeds the enumeration cap {args.enum_cap}"
-        )
-    trunc = _table_trunc(args.trunc, args.max_n, default=VERIFY_TRUNC)
+    oracle._check_cap(args.max_n, args.enum_cap)
+    trunc = _verify_trunc(args.trunc, args.max_n)
     failures = 0
     # One census per total for the whole run: the checks share it.
     with oracle.shared_census():
@@ -190,9 +181,9 @@ def cmd_series_dump(args: argparse.Namespace) -> int:
 # -- output helpers -----------------------------------------------------------
 
 
-def _table_trunc(trunc, max_n, default=DEFAULT_TRUNC):
+def _verify_trunc(trunc, max_n):
     if trunc is None:
-        return max(default, max_n)
+        return max(VERIFY_TRUNC, max_n)
     if trunc < max_n:
         raise UsageError(f"--trunc {trunc} is below --max-n {max_n}")
     return trunc

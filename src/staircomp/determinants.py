@@ -51,10 +51,12 @@ class SeriesMatrix:
         grid = tuple(tuple(row) for row in rows)
         if not grid or any(len(row) != len(grid) for row in grid):
             raise ValueError("matrix must be square and non-empty")
-        trunc = grid[0][0].trunc
         for row in grid:
             for entry in row:
-                if entry.trunc != trunc:
+                # grid[0][0] is checked first, so reading its trunc is safe.
+                if not isinstance(entry, TriSeries):
+                    raise TypeError(f"entries must be TriSeries, got {type(entry).__name__}")
+                if entry.trunc != grid[0][0].trunc:
                     raise ValueError("entries must share one truncation order")
         self._rows = grid
 
@@ -151,10 +153,12 @@ def inner_block_matrix(k: int, trunc: int = DEFAULT_TRUNC) -> SeriesMatrix:
 def det_division_free(matrix: SeriesMatrix, limit: int = DET_DIM_LIMIT) -> TriSeries:
     """Exact determinant by memoized cofactor expansion.
 
-    Uses ring operations only, which is required because the truncated
-    series ring has no division.  Minors are memoized on their column
-    set, so the cost is O(2^dim * dim) series multiplications.
+    Uses ring operations only: it needs no unit pivots, so it is a route
+    independent of ``TriSeries.divide`` for the closed forms to be checked
+    against.  Minors are memoized on their column set, so the cost is
+    O(2^dim * dim) series multiplications.
     """
+    _check_size("limit", limit)
     n = matrix.dim
     if n > limit:
         raise DeterminantLimitError(
@@ -228,13 +232,17 @@ def inner_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") ->
 
 def _cleared_top_sum(k: int, trunc: int) -> TriSeries:
     """U~_k = sum_{j<k} x^(kj - C(j,2)) y^j (1-x)^(k-1-j), the top block
-    of size k times (1-x)^(k-1); a polynomial, and 0 for k = 0."""
+    of size k times (1-x)^(k-1); a polynomial, and 0 for k = 0.
+
+    Each term's x-degree kj - C(j,2) + t is at least j + t, so no j or t
+    above ``trunc`` keeps a term and both loops stop there.
+    """
     return TriSeries(
         trunc,
         {
             (k * j - comb(j, 2) + t, j, 0): (-1) ** t * comb(k - 1 - j, t)
-            for j in range(k)
-            for t in range(k - j)
+            for j in range(min(k, trunc + 1))
+            for t in range(min(k - j, trunc + 1))
         },
     )
 

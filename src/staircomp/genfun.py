@@ -17,7 +17,6 @@ from .determinants import (
     denominator_det,
     det_division_free,
     numerator_det,
-    numerator_matrix,
 )
 from .series import DEFAULT_TRUNC, TriSeries, _check_size, monomial, one, variables
 
@@ -53,8 +52,8 @@ def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False
     """
     _validate(m, trunc)
     if direct:
-        matrix, _ = build_system(m, trunc)
-        det_num = det_division_free(numerator_matrix(m, trunc))
+        matrix, rhs = build_system(m, trunc)
+        det_num = det_division_free(matrix.with_column(0, rhs))
         det_sys = det_division_free(matrix)
     else:
         det_num = numerator_det(m, trunc)

@@ -33,7 +33,8 @@ TermsLike = Union[Mapping[Key, int], None]
 
 
 class NonUnitError(ArithmeticError):
-    """Raised when inverting a series that is not a unit of the ring."""
+    """Raised when a divisor (of ``divide``, or the series ``inverse``
+    inverts) is not a unit of the ring: its x^0 slice is not +1 or -1."""
 
 
 class TriSeries:
@@ -146,7 +147,7 @@ class TriSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int):
+        if type(k) is not int:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
@@ -236,6 +237,7 @@ class TriSeries:
 
     def truncated(self, trunc: int) -> TriSeries:
         """Copy with a smaller truncation order; terms above it are dropped."""
+        _check_size("trunc", trunc)
         if trunc > self.trunc:
             raise ValueError("cannot extend a truncated series")
         if trunc == self.trunc:

@@ -316,7 +316,45 @@ def test_usage_errors_exit_with_two(capsys):
     assert exc.value.code == 2
 
 
-def test_truncation_below_the_table_range_is_rejected(capsys):
-    code, _, err = run(capsys, "table", "--m", "2", "--max-n", "10", "--trunc", "5")
+def test_truncation_below_the_verify_range_is_rejected(capsys):
+    code, out, err = run(capsys, "verify", "--m", "2", "--max-n", "10", "--trunc", "5")
     assert code == 2
-    assert "--trunc" in err
+    assert out == ""
+    assert err == "error: --trunc 5 is below --max-n 10\n"
+
+
+def test_table_takes_no_truncation_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--m", "2", "--max-n", "5", "--trunc", "9"])
+    assert exc.value.code == 2
+    assert "--trunc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_table_rows_are_the_series_read_to_max_n(capsys, m):
+    # F's coefficients of x^a do not depend on the order the series is cut
+    # at, so the table at --max-n n is the series at any order >= n read to n.
+    gf = genfun.staircase_gf(m, 30)
+    header = ("a", "b", "s", "count")
+    for max_n in range(1, 26):
+        want = [(a, b, s, c) for (a, b, s), c in gf.terms() if 1 <= a <= max_n]
+        for fmt, render in (("json", _json_rows), ("csv", _csv_rows)):
+            code, out, _ = run(capsys, "table", "--m", str(m), "--max-n", str(max_n), "--format", fmt)
+            assert code == 0
+            assert out == render(want, header)
+
+
+def test_verify_refuses_beyond_the_cap_with_the_oracles_error(capsys, builds):
+    code, out, err = run(capsys, "verify", "--m", "2", "--max-n", "30")
+    assert (code, out) == (2, "")
+    assert builds == []  # refused before any enumeration
+    assert err == run(capsys, "oracle", "--n", "30", "--m", "2")[2]
+
+
+@pytest.mark.parametrize("kind", sorted(SERIES_KINDS))
+def test_series_dump_at_a_huge_window_builds_only_the_kept_terms(capsys, kind):
+    # At order 8 no window of length >= 12 fits, so m = 10**9 prints what
+    # m = 12 does; building every term of m = 10**9 would never finish.
+    huge = run(capsys, "series-dump", "--m", str(10 ** 9), "--trunc", "8", "--kind", kind)
+    assert huge == run(capsys, "series-dump", "--m", "12", "--trunc", "8", "--kind", kind)
+    assert huge[0] == 0

@@ -97,6 +97,34 @@ def test_matrix_validation():
         SeriesMatrix([[one(4), one(5)], [one(4), one(4)]])
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[[1]], [[one(4), 0], [one(4), one(4)]], [[one(4), one(4)], [one(4), None]]],
+    ids=["int-first", "int-later", "none"],
+)
+def test_matrix_entries_must_be_series(rows):
+    with pytest.raises(TypeError, match="^entries must be TriSeries, got "):
+        SeriesMatrix(rows)
+
+
+def test_division_free_limit_follows_the_size_rule():
+    eye = SeriesMatrix([[one(4)]])
+    for bad in (True, 2.5, 8.0):
+        with pytest.raises(TypeError, match=f"^limit must be an int, got {re.escape(repr(bad))}$"):
+            det_division_free(eye, limit=bad)
+    with pytest.raises(ValueError, match="^limit must be at least 1, got 0$"):
+        det_division_free(eye, limit=0)
+    assert det_division_free(eye, limit=1) == one(4)
+
+
+@pytest.mark.parametrize("block_det", [top_block_det, inner_block_det])
+def test_closed_blocks_build_no_term_beyond_the_order(block_det):
+    # Every term of the cleared sum sits at x-degree >= j + t, so a huge
+    # block size costs no more than a small one once both exceed the order.
+    assert block_det(10 ** 9, 8) == block_det(12, 8)
+    assert block_det(10 ** 9 + 1, 3) == block_det(13, 3)
+
+
 def test_top_block_values():
     z = _z(N)
     x, y, _ = variables(N)

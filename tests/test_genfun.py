@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from staircomp import genfun, oracle
+from staircomp import determinants, genfun, oracle
 from staircomp.series import monomial, one, variables, zero
 
 
@@ -155,6 +155,20 @@ def test_argument_validation():
         genfun.total_staircases(0, 1, 1)
     with pytest.raises(ValueError):
         genfun.total_staircases_gf(1, 0)
+
+
+def test_direct_route_builds_the_system_once(monkeypatch):
+    builds = []
+    real = determinants.build_system
+
+    def counting(m, trunc):
+        builds.append((m, trunc))
+        return real(m, trunc)
+
+    monkeypatch.setattr(determinants, "build_system", counting)
+    monkeypatch.setattr(genfun, "build_system", counting)
+    assert genfun.staircase_gf_cramer(3, 10, direct=True) == genfun.staircase_gf(3, 10)
+    assert builds == [(3, 10)]
 
 
 def test_direct_route_respects_the_determinant_limit():

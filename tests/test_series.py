@@ -212,6 +212,25 @@ def test_truncated_cannot_extend():
         one(5).truncated(6)
 
 
+@pytest.mark.parametrize(
+    "own, order, error",
+    [(20, 20.0, TypeError), (1, True, TypeError), (1, 0, ValueError), (1, -1, ValueError)],
+    ids=["float", "bool", "zero", "negative"],
+)
+def test_truncated_checks_the_order_before_the_same_order_shortcut(own, order, error):
+    # 20.0 == 20 and True == 1, so the order is checked before the
+    # same-order shortcut can return the series itself.
+    with pytest.raises(error):
+        one(own).truncated(order)
+
+
+@pytest.mark.parametrize("exponent", [True, False, 2.0], ids=["True", "False", "float"])
+def test_powers_take_int_exponents_only(exponent):
+    x, _, _ = variables(N)
+    with pytest.raises(TypeError):
+        (one(N) - x) ** exponent
+
+
 def test_non_int_truncation_orders_rejected():
     for build in (
         lambda: TriSeries(2.5),
