@@ -1,15 +1,17 @@
 """Command-line interface: coefficient tables, verification runs, totals.
 
 Exit codes: 0 on success, 1 when a verification detects a mismatch, 2 for
-usage errors.  Usage errors include an output path that cannot be
-written and a total beyond the enumeration cap (``--enum-cap``).  The
-json and csv formats are stable for machine parsing; the text format is
-aligned for humans and makes no stability promise.
+usage errors.  Usage errors include an output path or a standard output
+that cannot be written and a total beyond the enumeration cap
+(``--enum-cap``).  The json and csv formats are stable for machine
+parsing; the text format is aligned for humans and makes no stability
+promise.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import determinants, genfun, oracle, verify
@@ -111,10 +113,34 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        try:
+            return args.run(args)
+        finally:
+            sys.stdout.flush()  # a full or closed stdout fails here, not at exit
     except (UsageError, oracle.EnumerationLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = exc
+    except OSError as exc:
+        # Only table, oracle and series-dump take --output, and with it they
+        # write nothing to stdout, so a write error names that file then.
+        target = exc.filename or getattr(args, "output", None) or "stdout"
+        if target == "stdout":
+            _discard_stdout()
+        message = f"cannot write {target}: {exc.strerror or exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at the null device:
+    the interpreter's exit-time flush of the text that could not be
+    written then succeeds instead of reporting the error a second time."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 # -- commands -----------------------------------------------------------------
@@ -227,11 +253,8 @@ def _render_rows(rows, header, fmt):
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 

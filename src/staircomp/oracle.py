@@ -6,14 +6,15 @@ run of m consecutive parts whose j-th part is at least j; occurrences may
 overlap.  Everything here is computed by exhaustive enumeration and is the
 reference the generating-function formulas are tested against.
 
-The counts read each composition as a binary word: a part p is the letter
-1 followed by p - 1 letters 0.  The words of n are the binary numerals
-2^(n-1) .. 2^n - 1, so counting runs over that range and visits every
-composition once; the number of parts is the numeral's bit count.  A
-window is then a factor 1 0^{>=0} 1 0^{>=1} ... 1 0^{>=m-1} of the word,
-found by one compiled lookahead pattern at every start, so overlapping
-windows all count.  No states are merged: the histogram of n is a census
-of all 2^(n-1) words.
+Enumeration and counting read each composition as the same binary word:
+a part p is the letter 1 followed by p - 1 letters 0.  The words of n are
+the binary numerals 2^(n-1) .. 2^n - 1, so both run over that range and
+visit every composition once.  ``compositions()`` splits each word into
+its parts; the counts take the number of parts as the numeral's bit
+count.  A window is then a factor 1 0^{>=0} 1 0^{>=1} ... 1 0^{>=m-1} of
+the word, found by one compiled lookahead pattern at every start, so
+overlapping windows all count.  No states are merged: the histogram of n
+is a census of all 2^(n-1) words.
 
 Inside a ``shared_census()`` block each census of one (n, m) is built at
 most once and then read by every histogram and total that asks for it;
@@ -29,8 +30,6 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, combinations
-from operator import sub
 from typing import Iterator
 
 from .series import _check_size
@@ -80,23 +79,6 @@ class Histogram:
 
     def total(self) -> int:
         return sum(self.counts.values())
-
-
-def _trusted(tuples: Iterator[tuple[int, ...]]) -> Iterator[Composition]:
-    """Compositions of part tuples the enumerator built itself, whose parts
-    are positive ints already: ``__post_init__``'s checks are skipped."""
-    new, set_parts = object.__new__, Composition.parts.__set__
-    for parts in tuples:
-        composition = new(Composition)
-        set_parts(composition, parts)
-        yield composition
-
-
-def _parts(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    # The k - 1 cut positions, chosen from 1..n-1, bound the k parts.
-    for cuts in combinations(range(1, n), k - 1):
-        bounds = (0, *cuts, n)
-        yield tuple(map(sub, bounds[1:], bounds))
 
 
 def _windows(m: int):
@@ -163,15 +145,19 @@ def _check_cap(n: int, cap: int) -> None:
 def compositions(n: int, cap: int = MAX_ENUM_N) -> Iterator[Composition]:
     """Yield every composition of n exactly once.
 
-    A composition of n with k parts is a choice of k - 1 of the n - 1 cut
-    positions, so the order is by part count, then lexicographically by
-    cut positions.  n = 0 yields the empty composition alone.
+    The compositions are read from the same words as the counts, the
+    numerals 2^(n-1) .. 2^n - 1 in increasing order, which is reverse
+    lexicographic order of the parts: (4), (3, 1), (2, 2), (2, 1, 1),
+    (1, 3), ..., (1, 1, 1, 1) for n = 4.  n = 0 yields the empty
+    composition alone.
     """
     _check_size("n", n, least=0)
     _check_cap(n, cap)
     if n == 0:
         return iter((Composition(()),))
-    return _trusted(chain.from_iterable(_parts(n, k) for k in range(1, n + 1)))
+    # After the leading 1, each run of 0s is one part minus one.
+    return (Composition(tuple(len(run) + 1 for run in bin(v)[3:].split("1")))
+            for v in range(1 << (n - 1), 1 << n))
 
 
 def count_staircases(composition, m: int) -> int:

@@ -1,8 +1,13 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import csv
+import errno
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +86,56 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+class _FullStdout:
+    """A stdout whose writes, or only its flushes, fail as on a full disk."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(text)
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+COMMANDS = {
+    "table": ("table", "--m", "2", "--max-n", "5"),
+    "verify": ("verify", "--m", "2", "--max-n", "5"),
+    "oracle": ("oracle", "--n", "5", "--m", "2"),
+    "corollary": ("corollary", "--n", "5", "--parts", "2", "--m", "2", "--check"),
+    "series-dump": ("series-dump", "--m", "2", "--trunc", "5"),
+}
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+def test_unwritable_stdout_is_a_usage_error(capsys, monkeypatch, argv, failing):
+    monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    *COMMANDS.values(),
+    ("table", "--m", "2", "--max-n", "5", "--output", "/dev/full"),
+], ids=[*COMMANDS, "table-output"])
+def test_a_full_device_gives_one_error_line(argv):
+    # In a real interpreter: nothing more is reported at exit.
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "staircomp.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    target = "/dev/full" if "--output" in argv else "stdout"
+    assert done.returncode == 2
+    assert done.stderr == f"error: cannot write {target}: No space left on device\n"
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--m", "2", "--max-n", "8")
     assert code == 0
@@ -136,6 +191,25 @@ def test_verify_reports_mismatches(capsys, monkeypatch, name, module, attr, make
     # The report names the failing check, the first offending point and both values.
     assert f"FAIL {name}: {difference}\n" in out
     assert "4/5 checks passed" in out
+
+
+def test_block_check_finishes_for_a_huge_window():
+    assert verify.check_block_dets(10**9, 3, 14, oracle.MAX_ENUM_N) is None
+
+
+@pytest.mark.parametrize("attr, family", [("top_block_det", "top"), ("inner_block_det", "inner")])
+def test_block_check_reaches_size_trunc_plus_two(monkeypatch, attr, family):
+    # A recurrence wrong at the last size checked, and nowhere else.
+    trunc = 6
+    real = getattr(determinants, attr)
+
+    def fake(k, trunc, mode="closed"):
+        return real(k, trunc, mode) + int(mode == "recurrence" and k == trunc + 2)
+
+    monkeypatch.setattr(determinants, attr, fake)
+    assert verify.check_block_dets(50, 3, trunc) == (
+        f"{family} block size {trunc + 2}: closed form differs from recurrence"
+    )
 
 
 def test_verify_enumerates_each_total_once_per_run(capsys, builds):

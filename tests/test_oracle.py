@@ -153,6 +153,14 @@ def test_enumerated_compositions_equal_publicly_built_ones():
                 c.parts = (n,)
 
 
+def test_the_ith_composition_is_the_ith_numeral():
+    # A part p re-encoded as the letter 1 then p - 1 letters 0.
+    for n in range(1, 13):
+        for i, c in enumerate(compositions(n)):
+            word = "".join("1" + "0" * (p - 1) for p in c.parts)
+            assert int(word, 2) == (1 << (n - 1)) + i
+
+
 def test_count_staircases_rejects_non_positive_parts():
     with pytest.raises(ValueError):
         count_staircases([0, -3, 2], 1)
@@ -223,9 +231,9 @@ def test_enumeration_matches_an_independent_recursion():
     for n in range(13):
         reference = _compositions_by_first_part(n)
         assert len(set(reference)) == len(reference)
-        # The documented order: by part count, then by cut positions, which
-        # for a fixed part count order the parts lexicographically too.
-        assert [c.parts for c in compositions(n)] == sorted(reference, key=lambda p: (len(p), p))
+        # The documented order: increasing numerals, which is reverse
+        # lexicographic order of the parts.
+        assert [c.parts for c in compositions(n)] == sorted(reference, reverse=True)
         if n == 0:
             continue  # the histogram and the totals start at n = 1
         for m in range(1, 5):
