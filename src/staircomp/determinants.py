@@ -158,12 +158,8 @@ def det_division_free(matrix: SeriesMatrix, limit: int = DET_DIM_LIMIT) -> TriSe
     against.  Minors are memoized on their column set, so the cost is
     O(2^dim * dim) series multiplications.
     """
-    _check_size("limit", limit)
     n = matrix.dim
-    if n > limit:
-        raise DeterminantLimitError(
-            f"dimension {n} exceeds the direct-determinant limit {limit}"
-        )
+    _check_dim(n, limit)
     unit = one(matrix.trunc)
     empty = zero(matrix.trunc)
     memo: dict[int, TriSeries] = {0: unit}
@@ -188,6 +184,16 @@ def det_division_free(matrix: SeriesMatrix, limit: int = DET_DIM_LIMIT) -> TriSe
         return acc
 
     return expand((1 << n) - 1)
+
+
+def _check_dim(n: int, limit: int = DET_DIM_LIMIT) -> None:
+    """Refuse a direct determinant of dimension n above limit, before
+    anything of that size is built."""
+    _check_size("limit", limit)
+    if n > limit:
+        raise DeterminantLimitError(
+            f"dimension {n} exceeds the direct-determinant limit {limit}"
+        )
 
 
 def top_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") -> TriSeries:
@@ -269,7 +275,9 @@ def _recurrence(n: int, before: TriSeries, start: TriSeries) -> TriSeries:
     trunc = start.trunc
     z = _z(trunc)
     prev2, prev = before, start
-    for i in range(1, n + 1):
+    # Past step trunc the step x^i is zero at this order, so e_i = e_{i-1}
+    # from there on and e_n is the e_i of the last step taken.
+    for i in range(1, min(n, trunc) + 1):
         step = monomial(i, 1, 0, 1, trunc)
         current = (one(trunc) - step * (one(trunc) + z)) * prev + step * z * prev2
         prev2, prev = prev, current

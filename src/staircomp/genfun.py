@@ -11,6 +11,7 @@ from __future__ import annotations
 from math import comb
 
 from .determinants import (
+    _check_dim,
     _cleared_closing,
     _cleared_top_sum,
     build_system,
@@ -48,10 +49,12 @@ def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False
     The default route evaluates both determinants through their cofactor
     reductions onto the block families; ``direct=True`` expands the built
     matrices with the division-free determinant instead (the dimension
-    limit applies, so keep m small on that route).
+    limit applies, so keep m small on that route; a larger m is refused
+    before the system is built).
     """
     _validate(m, trunc)
     if direct:
+        _check_dim(m + 1)
         matrix, rhs = build_system(m, trunc)
         det_num = det_division_free(matrix.with_column(0, rhs))
         det_sys = det_division_free(matrix)

@@ -8,9 +8,18 @@ enumeration cap ``cap``, ignoring the ones it does not need.  It returns
 None when the check holds, or a short description of the first
 disagreement found.
 
-The two checks against enumeration each open ``oracle.shared_census()``,
-so either one alone builds each census once; run inside one outer block,
-as ``staircomp verify`` runs them, they share every census between them.
+Each check is sized by what it compares.  The two checks against
+enumeration read ``max_n`` and ignore ``trunc``: the coefficient of x^a
+in the master series counts compositions of a only, so the series to
+order ``max_n`` holds every coefficient they compare.  The three
+series-only checks (Cramer, block determinants, marginals) read
+``trunc``.  So ``trunc`` may lie below ``max_n``.
+
+``check_gf_vs_oracle`` reads each census once anyway.  ``check_totals``
+reads each one once per part count, so it alone opens
+``oracle.shared_census()``; run inside one outer block, as
+``staircomp verify`` runs them, it reads the censuses that
+``check_gf_vs_oracle`` built.
 
 The layers are reached through their module attributes, never through
 names imported into this module, so that a test or a tracer that rebinds
@@ -25,17 +34,17 @@ from . import determinants, genfun, oracle
 
 
 def check_gf_vs_oracle(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
-    """Closed-form master series against enumeration, totals 1..max_n."""
+    """Closed-form master series at order max_n against enumeration,
+    totals 1..max_n."""
     by_total: dict[int, dict] = {}
-    for (a, b, s), c in genfun.staircase_gf(m, trunc).terms():
+    for (a, b, s), c in genfun.staircase_gf(m, max_n).terms():
         by_total.setdefault(a, {})[a, b, s] = c
-    with oracle.shared_census():
-        for a in range(1, max_n + 1):
-            hist = oracle.staircase_histogram(a, m, cap=cap)
-            want = {(a, b, s): c for (b, s), c in hist.counts.items()}
-            problem = _first_diff(by_total.get(a, {}), want, "series", "enumeration")
-            if problem:
-                return problem
+    for a in range(1, max_n + 1):
+        hist = oracle.staircase_histogram(a, m, cap=cap)
+        want = {(a, b, s): c for (b, s), c in hist.counts.items()}
+        problem = _first_diff(by_total.get(a, {}), want, "series", "enumeration")
+        if problem:
+            return problem
     return None
 
 
@@ -52,8 +61,9 @@ def check_block_dets(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
     inner blocks of size -1..m+1, at order trunc, up to size trunc + 2."""
     # At order trunc both modes are constant in the block size from
     # trunc + 1 on: every j >= 1 term of the closed forms has x-degree at
-    # least the size, and the recurrence's step x^i vanishes for i > trunc.
-    # Any larger size repeats the comparison made at the last one checked.
+    # least the size, and the recurrence stops at step trunc, past which
+    # its step x^i vanishes.  Any larger size repeats the comparison made
+    # at the last one checked, so the loops stop here, not at m + 1.
     last = min(m + 1, trunc + 2)
     for k in range(0, last + 1):
         if (determinants.top_block_det(k, trunc, "closed")

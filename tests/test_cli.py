@@ -390,11 +390,25 @@ def test_usage_errors_exit_with_two(capsys):
     assert exc.value.code == 2
 
 
-def test_truncation_below_the_verify_range_is_rejected(capsys):
+def test_truncation_below_the_verify_range_runs_the_checks(capsys):
     code, out, err = run(capsys, "verify", "--m", "2", "--max-n", "10", "--trunc", "5")
-    assert code == 2
-    assert out == ""
-    assert err == "error: --trunc 5 is below --max-n 10\n"
+    assert (code, err) == (0, "")
+    assert out.endswith("\n5/5 checks passed (m=2, max_n=10, trunc=5)\n")
+
+
+def test_enumeration_check_builds_the_series_to_the_largest_total(monkeypatch):
+    orders = []
+    real = genfun.staircase_gf
+
+    def recording(m, trunc):
+        orders.append((m, trunc))
+        return real(m, trunc)
+
+    monkeypatch.setattr(genfun, "staircase_gf", recording)
+    for trunc in (3, 9, 20):
+        orders.clear()
+        assert verify.check_gf_vs_oracle(2, 9, trunc) is None
+        assert orders == [(2, 9)]
 
 
 def test_table_takes_no_truncation_order(capsys):

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from staircomp import determinants
 from staircomp.determinants import (
     DeterminantLimitError,
     SeriesMatrix,
@@ -173,6 +174,27 @@ def test_inner_block_modes_agree(k):
         closed = inner_block_det(k, trunc, "closed")
         assert closed == inner_block_det(k, trunc, "recurrence")
         assert closed == lead + psi * _printed_top_sum(k + 1, trunc)
+
+
+def test_recurrence_stops_at_the_order(monkeypatch):
+    # One step monomial per step taken: a step past the order is zero.
+    steps = []
+    real = determinants.monomial
+
+    def counting(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(determinants, "monomial", counting)
+    top_block_det(1000, 3, "recurrence")
+    assert 0 < len(steps) <= 3
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3, 8])
+def test_recurrences_at_a_huge_block_equal_the_closed_forms(trunc):
+    for k in (10**9, *range(trunc, trunc + 6)):
+        assert top_block_det(k, trunc, "recurrence") == top_block_det(k, trunc, "closed")
+        assert inner_block_det(k, trunc, "recurrence") == inner_block_det(k, trunc, "closed")
 
 
 def test_mode_name_is_validated():

@@ -178,6 +178,17 @@ def test_direct_route_respects_the_determinant_limit():
         genfun.staircase_gf_cramer(8, 10, direct=True)  # 9x9 matrices
 
 
+def test_direct_route_refuses_before_building_the_system(monkeypatch):
+    from staircomp.determinants import DeterminantLimitError
+
+    def unexpected(m, trunc):
+        raise AssertionError("the system was built")
+
+    monkeypatch.setattr(genfun, "build_system", unexpected)
+    with pytest.raises(DeterminantLimitError):
+        genfun.staircase_gf_cramer(10**9, 3, direct=True)
+
+
 def _printed_theorem(m, trunc):
     """F exactly as the paper's main theorem prints it."""
     x, y, q = variables(trunc)
