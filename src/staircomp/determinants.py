@@ -274,12 +274,14 @@ def _recurrence(n: int, before: TriSeries, start: TriSeries) -> TriSeries:
         return before
     trunc = start.trunc
     z = _z(trunc)
+    unit = one(trunc)
+    unit_z = unit + z
     prev2, prev = before, start
     # Past step trunc the step x^i is zero at this order, so e_i = e_{i-1}
     # from there on and e_n is the e_i of the last step taken.
     for i in range(1, min(n, trunc) + 1):
         step = monomial(i, 1, 0, 1, trunc)
-        current = (one(trunc) - step * (one(trunc) + z)) * prev + step * z * prev2
+        current = (unit - step * unit_z) * prev + step * z * prev2
         prev2, prev = prev, current
     return prev
 

@@ -20,6 +20,15 @@ q-degree plus the quotient's order times the divisor's steepest q-slope
 s / i over its terms x^i y^b q^s with i > 0 (a quotient slice of x-degree
 a gains at most that slope times a).  The y-degree is the high digit and
 needs no bound.
+
+A series is built in one of two ways.  Public construction, ``TriSeries``
+and the helpers ``zero``, ``one``, ``monomial`` and ``from_json_obj``,
+checks the order and the type and sign of every term.  The ring's own
+results (sums, products, quotients, specializations and truncations) skip
+those checks and are stored as computed: their terms come from operands
+that were checked already, and each operation drops its own zeros and its
+terms above the order, so a stored series never holds a zero coefficient
+or an x-degree beyond ``trunc``.
 """
 
 from __future__ import annotations
@@ -107,13 +116,17 @@ class TriSeries:
         out = {k: c for k, c in self._terms.items() if k[0] <= n}
         for k, c in o._terms.items():
             if k[0] <= n:
-                out[k] = out.get(k, 0) + c
-        return TriSeries(n, out)
+                c += out.get(k, 0)
+                if c:
+                    out[k] = c
+                else:
+                    del out[k]
+        return _from_ring(n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TriSeries(self.trunc, {k: -c for k, c in self._terms.items()})
+        return _from_ring(self.trunc, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -129,6 +142,15 @@ class TriSeries:
         if o is None:
             return NotImplemented
         n = min(self.trunc, o.trunc)
+        f, g = self._terms, o._terms
+        if len(f) == 1:
+            f, g = g, f
+        if len(g) == 1:
+            # A one-term factor c0 x^a0 y^b0 q^s0 shifts the other's terms.
+            ((a0, b0, s0), c0), = g.items()
+            return _from_ring(n, {
+                (a + a0, b + b0, s + s0): c * c0 for (a, b, s), c in f.items() if a + a0 <= n
+            })
         out: dict[Key, int] = {}
         right = o._slices()
         for a1, left_slice in self._slices().items():
@@ -142,7 +164,7 @@ class TriSeries:
                     for (b2, s2), c2 in right_slice.items():
                         key = (a, b1 + b2, s1 + s2)
                         out[key] = out.get(key, 0) + c1 * c2
-        return TriSeries(n, out)
+        return _from_ring(n, {k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -212,7 +234,7 @@ class TriSeries:
             slice_a = [(k, const * c) for k, c in acc.items() if c]
             if slice_a:
                 g[a] = slice_a
-        return TriSeries(
+        return _from_ring(
             n,
             {(a, k // width, k % width): c for a, sl in g.items() for k, c in sl},
         )
@@ -225,7 +247,7 @@ class TriSeries:
         for (a, b, _s), c in self._terms.items():
             key = (a, b, 0)
             out[key] = out.get(key, 0) + c
-        return TriSeries(self.trunc, out)
+        return _from_ring(self.trunc, {k: c for k, c in out.items() if c})
 
     def diff_q(self) -> TriSeries:
         """Formal partial derivative with respect to q."""
@@ -233,7 +255,7 @@ class TriSeries:
         for (a, b, s), c in self._terms.items():
             if s:
                 out[a, b, s - 1] = s * c
-        return TriSeries(self.trunc, out)
+        return _from_ring(self.trunc, out)
 
     def truncated(self, trunc: int) -> TriSeries:
         """Copy with a smaller truncation order; terms above it are dropped."""
@@ -242,7 +264,7 @@ class TriSeries:
             raise ValueError("cannot extend a truncated series")
         if trunc == self.trunc:
             return self
-        return TriSeries(trunc, self._terms)
+        return _from_ring(trunc, {k: c for k, c in self._terms.items() if k[0] <= trunc})
 
     # -- serialization ---------------------------------------------------------
 
@@ -259,8 +281,14 @@ class TriSeries:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> TriSeries:
         """Inverse of ``to_json_obj``.  The order and exponents must be ints
-        and each coefficient a decimal string; nothing is coerced."""
-        terms = {(t["a"], t["b"], t["s"]): _parse_coeff(t["c"]) for t in obj["terms"]}
+        and each coefficient a decimal string; nothing is coerced.  A term
+        repeated with the same exponents raises ValueError."""
+        terms = {}
+        for t in obj["terms"]:
+            key = (t["a"], t["b"], t["s"])
+            if key in terms:
+                raise ValueError(f"repeated term with exponents {key}")
+            terms[key] = _parse_coeff(t["c"])
         return cls(obj["trunc"], terms)
 
     # -- display ---------------------------------------------------------------
@@ -291,6 +319,20 @@ class TriSeries:
         if type(other) is int:
             return TriSeries(self.trunc, {(0, 0, 0): other})
         return None
+
+
+def _from_ring(trunc: int, terms: dict[Key, int]) -> TriSeries:
+    """The series of a ring result, built without the public checks.
+
+    The caller guarantees what ``TriSeries`` would check: ``trunc`` is a
+    positive int, every key is an (a, b, s) triple of non-negative ints
+    with a <= trunc, and every value is a non-zero int.  ``terms`` is
+    stored as given, not copied, so the caller must not keep it.
+    """
+    series = object.__new__(TriSeries)
+    series.trunc = trunc
+    series._terms = terms
+    return series
 
 
 def _check_size(name: str, value: int, least: int = 1) -> None:

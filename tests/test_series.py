@@ -298,6 +298,16 @@ def test_from_json_obj_coerces_nothing(obj):
         TriSeries.from_json_obj(obj)
 
 
+def test_from_json_obj_rejects_a_repeated_term():
+    # to_json_obj never writes two terms with the same exponents.
+    obj = {
+        "trunc": 3,
+        "terms": [{"a": 1, "b": 0, "s": 0, "c": "5"}, {"a": 1, "b": 0, "s": 0, "c": "7"}],
+    }
+    with pytest.raises(ValueError, match=r"\(1, 0, 0\)"):
+        TriSeries.from_json_obj(obj)
+
+
 def test_str_rendering():
     x, y, q = variables(N)
     assert str(zero(N)) == "0"
@@ -352,3 +362,110 @@ def test_truncation_coherence_of_inverses(f):
 def test_truncation_coherence_of_specializations(f):
     assert f.at_q1().truncated(6) == f.truncated(6).at_q1()
     assert f.diff_q().truncated(6) == f.truncated(6).diff_q()
+
+
+# -- ring results are built without the public checks ------------------------
+
+
+def _assert_stored_as_checked(r):
+    """r is what the public constructor would store: no zero coefficient
+    and no x-degree above the order."""
+    stored = dict(r.terms())
+    assert r == TriSeries(r.trunc, stored)
+    assert all(stored.values())
+    assert all(a <= r.trunc for a, _b, _s in stored)
+
+
+@given(
+    sparse_series(),
+    st.integers(1, N).flatmap(lambda order: sparse_series(trunc=order)),
+    units(),
+    st.integers(1, N),
+)
+@settings(max_examples=60)
+def test_ring_results_hold_the_stored_invariant(f, g, u, k):
+    for r in (
+        f + g, f - g, -f, f * g, f ** 3, f.divide(u),
+        f.at_q1(), f.diff_q(), f.truncated(k),
+    ):
+        _assert_stored_as_checked(r)
+
+
+def test_cancellation_leaves_no_stored_zero():
+    x, _y, q = variables(N)
+    f = 3 * x * q - 2
+    assert not (f - f)
+    product = (1 + x) * (1 - x)
+    assert (1, 0, 0) not in dict(product.terms())
+    assert product == 1 - x * x
+    assert not (q - 1).at_q1()
+
+
+def _schoolbook(f, g):
+    """f * g term by term, truncated at the smaller order."""
+    n = min(f.trunc, g.trunc)
+    out = {}
+    for (a1, b1, s1), c1 in f.terms():
+        for (a2, b2, s2), c2 in g.terms():
+            if a1 + a2 <= n:
+                key = (a1 + a2, b1 + b2, s1 + s2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return TriSeries(n, out)
+
+
+_POLY = TriSeries(N, {(0, 0, 0): 2, (1, 1, 0): -3, (4, 2, 1): 5, (9, 0, 3): 1, (N, 1, 1): 7})
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (monomial(2, 1, 0, 3, N), _POLY),
+        (_POLY, monomial(2, 1, 0, 3, N)),
+        (monomial(1, 1, 1, -2, N), monomial(3, 0, 2, 5, N)),
+        (monomial(1, 0, 1, 1, 30), _POLY),
+        (_POLY, monomial(1, 0, 1, 1, 5)),
+        (monomial(0, 2, 1, -7, N), _POLY),
+        (_POLY, monomial(5, 0, 0, 4, 30)),
+        (monomial(15, 1, 0, 1, 30), _POLY),
+    ],
+    ids=[
+        "term-left", "term-right", "both-terms", "wider-term", "narrower-term",
+        "negative", "partly-cut", "beyond-order",
+    ],
+)
+def test_one_term_products_match_the_schoolbook_product(left, right):
+    product = left * right
+    assert product == _schoolbook(left, right)
+    _assert_stored_as_checked(product)
+
+
+@given(
+    st.integers(1, N).flatmap(lambda order: sparse_series(trunc=order, max_terms=1)),
+    sparse_series(),
+)
+def test_random_one_term_products_match_the_schoolbook_product(t, f):
+    assert t * f == _schoolbook(t, f)
+    assert f * t == _schoolbook(f, t)
+
+
+def test_ring_operations_skip_the_public_constructor(monkeypatch):
+    x, y, q = variables(N)
+    f = 3 * x * y - q + 2
+    g = x - 5 * y * q
+    u = 1 - x * y
+    calls = []
+    checked_init = TriSeries.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        checked_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TriSeries, "__init__", counting)
+    results = [
+        f * g, f * x, x * f, f + g, f - g, -f, f.divide(u),
+        f.at_q1(), f.diff_q(), f.truncated(5),
+    ]
+    assert calls == []
+    monkeypatch.undo()
+    for r in results:
+        _assert_stored_as_checked(r)
