@@ -19,7 +19,15 @@ from .determinants import (
     det_division_free,
     numerator_det,
 )
-from .series import DEFAULT_TRUNC, TriSeries, _check_size, monomial, one, variables
+from .series import (
+    DEFAULT_TRUNC,
+    TriSeries,
+    _check_size,
+    _split_q_digits,
+    monomial,
+    one,
+    variables,
+)
 
 
 def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
@@ -37,10 +45,21 @@ def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     D~ = x^C(m+1,2) y^m + (1-x-xy) N~ - q x^C(m+1,2) y^m = D (1-x)^m
     (``_cleared_closing`` builds the first two terms), so the series is
     (1-x) N~ / D~.  The x^0 slice of D~ is exactly 1.
+
+    The division runs in x and y alone, with q carried inside the
+    coefficients (Kronecker substitution).  Every coefficient c(a, b, s)
+    counts compositions of a with b parts, so 0 <= c <= C(a-1, b-1) <
+    2^trunc for a <= trunc (and c = 1 at a = 0).  Substituting q := Q =
+    2^trunc, a ring homomorphism that keeps the x^0 slice of D~ at 1,
+    therefore makes the quotient's coefficient of x^a y^b the number
+    sum_s c(a, b, s) Q^s, whose base-Q digits are exactly the c(a, b, s):
+    no digit reaches Q, so none carries into the next.  Reading the digits
+    back gives F.
     """
     _validate(m, trunc)
     num, den = _cleared_fraction(m, trunc)
-    return num.divide(den)
+    base = 1 << trunc
+    return _split_q_digits(num.at_q(base).divide(den.at_q(base)), trunc)
 
 
 def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False) -> TriSeries:

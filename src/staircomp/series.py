@@ -21,6 +21,16 @@ s / i over its terms x^i y^b q^s with i > 0 (a quotient slice of x-degree
 a gains at most that slope times a).  The y-degree is the high digit and
 needs no bound.
 
+``at_q(v)`` substitutes a plain int v for q: a ring homomorphism onto the
+series in x and y alone, so it commutes with sums, products and ``divide``
+(a divisor's x^0 slice has no q term, so it stays +1 or -1).  With
+v = 2**bits it packs the q-degrees into the coefficients as base-2**bits
+digits, and the private ``_split_q_digits`` reads them back.  That split
+is exact only when the series before packing had every coefficient in
+[0, 2**bits): then no digit carries into the next, and the digits of a
+non-negative int are unique.  The split cannot check this itself; its
+caller must know the bound.
+
 A series is built in one of two ways.  Public construction, ``TriSeries``
 and the helpers ``zero``, ``one``, ``monomial`` and ``from_json_obj``,
 checks the order and the type and sign of every term.  The ring's own
@@ -241,13 +251,25 @@ class TriSeries:
 
     # -- specializations -----------------------------------------------------
 
+    def at_q(self, value: int) -> TriSeries:
+        """Substitute q := value, a plain int (a bool or float raises
+        TypeError), folding all q-degrees together.  The substitution is a
+        ring homomorphism onto the series in x and y alone."""
+        if type(value) is not int:
+            raise TypeError(f"q can only be replaced by an int, got {value!r}")
+        powers: dict[int, int] = {}
+        out: dict[Key, int] = {}
+        for (a, b, s), c in self._terms.items():
+            p = powers.get(s)
+            if p is None:
+                p = powers[s] = value ** s
+            key = (a, b, 0)
+            out[key] = out.get(key, 0) + c * p
+        return _from_ring(self.trunc, {k: c for k, c in out.items() if c})
+
     def at_q1(self) -> TriSeries:
         """Substitute q := 1, folding all q-degrees together."""
-        out: dict[Key, int] = {}
-        for (a, b, _s), c in self._terms.items():
-            key = (a, b, 0)
-            out[key] = out.get(key, 0) + c
-        return _from_ring(self.trunc, {k: c for k, c in out.items() if c})
+        return self.at_q(1)
 
     def diff_q(self) -> TriSeries:
         """Formal partial derivative with respect to q."""
@@ -333,6 +355,34 @@ def _from_ring(trunc: int, terms: dict[Key, int]) -> TriSeries:
     series.trunc = trunc
     series._terms = terms
     return series
+
+
+def _split_q_digits(packed: TriSeries, bits: int) -> TriSeries:
+    """The series G with G.at_q(2**bits) == packed and every coefficient
+    in [0, 2**bits): each coefficient of x^a y^b is read as a number in
+    base 2**bits, and its digit s becomes the coefficient of x^a y^b q^s.
+
+    Precondition: ``packed`` has no q term and no negative coefficient.
+    Then the digits are unique, so G is the only such series; whether G is
+    the series the caller wants depends on the caller knowing that its
+    coefficients lie in [0, 2**bits).  A run of zero digits is skipped in
+    one shift, found from the lowest set bit, not one digit at a time.
+    """
+    mask = (1 << bits) - 1
+    out: dict[Key, int] = {}
+    for (a, b, _s), v in packed._terms.items():
+        s = 0
+        while v:
+            digit = v & mask
+            if digit:
+                out[a, b, s] = digit
+                v >>= bits
+                s += 1
+            else:
+                skip = ((v & -v).bit_length() - 1) // bits
+                v >>= skip * bits
+                s += skip
+    return _from_ring(packed.trunc, out)
 
 
 def _check_size(name: str, value: int, least: int = 1) -> None:

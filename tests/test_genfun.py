@@ -3,6 +3,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staircomp import determinants, genfun, oracle
 from staircomp.series import monomial, one, variables, zero
@@ -34,6 +36,34 @@ def test_unit_pattern_coefficients_are_binomial_on_the_diagonal():
             for s in range(0, 12):
                 want = comb(a - 1, b - 1) if (1 <= b <= a and s == b) else 0
                 assert gf.coeff(a, b, s) == want
+
+
+def _three_variable_quotient(m, trunc):
+    """The master series as one long division in x, y and q: the route
+    ``staircase_gf`` took before it carried q inside the coefficients."""
+    num, den = genfun._cleared_fraction(m, trunc)
+    return num.divide(den)
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3, 7, 12, 40, 60])
+@pytest.mark.parametrize("m", [*range(1, 9), 12])
+def test_packed_quotient_equals_the_three_variable_quotient(m, trunc):
+    gf = genfun.staircase_gf(m, trunc)
+    assert gf.trunc == trunc
+    assert gf == _three_variable_quotient(m, trunc)
+
+
+@pytest.mark.parametrize("m, trunc", [(4, 3), (13, 12), (61, 60), (10**9, 8)])
+def test_packed_quotient_for_windows_longer_than_the_order(m, trunc):
+    gf = genfun.staircase_gf(m, trunc)
+    assert gf == _three_variable_quotient(m, trunc)
+    assert all(s == 0 for (_a, _b, s), _c in gf.terms())
+
+
+@given(st.integers(1, 12), st.integers(1, 30))
+@settings(max_examples=40, deadline=None)
+def test_packed_quotient_property(m, trunc):
+    assert genfun.staircase_gf(m, trunc) == _three_variable_quotient(m, trunc)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

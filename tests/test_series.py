@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from staircomp.series import (
     NonUnitError,
     TriSeries,
+    _split_q_digits,
     monomial,
     one,
     variables,
@@ -38,6 +39,18 @@ def units(draw, trunc=N):
     tail = draw(sparse_series(trunc=trunc, max_terms=4))
     x = monomial(1, 0, 0, 1, trunc)
     return sign + x * tail
+
+
+@st.composite
+def digit_series(draw, bits):
+    """A series whose coefficients are base-2**bits digits: each lies in
+    [0, 2**bits), and q-degrees spread wide enough to leave runs of zero
+    digits between the terms of one x^a y^b."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        key = (draw(st.integers(0, N)), draw(st.integers(0, 3)), draw(st.integers(0, 40)))
+        terms[key] = draw(st.integers(0, (1 << bits) - 1))
+    return TriSeries(N, terms)
 
 
 def test_monomial_and_coeff():
@@ -169,6 +182,52 @@ def test_substitute_q_one():
     assert q.at_q1() == one(N)
     f = monomial(3, 2, 0, 1, N) + monomial(3, 2, 1, 1, N)
     assert f.at_q1() == monomial(3, 2, 0, 2, N)
+    g = TriSeries(N, {(0, 0, 0): 1, (2, 1, 3): -4, (2, 1, 0): 4, (5, 2, 1): 7})
+    assert g.at_q(1) == g.at_q1() == TriSeries(N, {(0, 0, 0): 1, (5, 2, 0): 7})
+
+
+@pytest.mark.parametrize("value", [0, 1, -1, 3, 2**64])
+def test_substitute_q_value(value):
+    x, y, q = variables(N)
+    f = 2 * x * y * q * q - 3 * x * q + y + 5
+    assert f.at_q(value) == 2 * value**2 * x * y - 3 * value * x + y + 5
+    assert q.at_q(value) == value * one(N)
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+def test_substitute_q_takes_ints_only(value):
+    _, _, q = variables(N)
+    with pytest.raises(TypeError, match="int"):
+        q.at_q(value)
+
+
+@given(sparse_series(), sparse_series(), units(), st.sampled_from((0, 1, -1, 3, 2**64)))
+@settings(max_examples=60)
+def test_substituting_q_commutes_with_the_ring_operations(f, g, u, value):
+    assert (f + g).at_q(value) == f.at_q(value) + g.at_q(value)
+    assert (f - g).at_q(value) == f.at_q(value) - g.at_q(value)
+    assert (f * g).at_q(value) == f.at_q(value) * g.at_q(value)
+    assert f.divide(u).at_q(value) == f.at_q(value).divide(u.at_q(value))
+
+
+@given(st.integers(1, 70).flatmap(lambda bits: st.tuples(st.just(bits), digit_series(bits))))
+def test_digit_split_reads_back_the_substituted_digits(case):
+    bits, g = case
+    packed = g.at_q(1 << bits)
+    assert _split_q_digits(packed, bits) == g
+
+
+@given(sparse_series(), st.integers(1, 8))
+def test_digit_split_of_non_negative_coefficients(f, bits):
+    packed = TriSeries(N, {(a, b, 0): abs(c) << (3 * s * bits) for (a, b, s), c in f.terms()})
+    digits = _split_q_digits(packed, bits)
+    assert digits.at_q(1 << bits) == packed
+    assert all(0 < c < 1 << bits for _key, c in digits.terms())
+
+
+def test_digit_split_skips_runs_of_zero_digits():
+    packed = TriSeries(N, {(2, 1, 0): (5 << 700) + 3, (4, 0, 0): 1 << 60})
+    assert _split_q_digits(packed, 7) == TriSeries(N, {(2, 1, 0): 3, (2, 1, 100): 5, (4, 0, 8): 16})
 
 
 def test_q_derivative():
@@ -361,6 +420,7 @@ def test_truncation_coherence_of_inverses(f):
 @given(sparse_series())
 def test_truncation_coherence_of_specializations(f):
     assert f.at_q1().truncated(6) == f.truncated(6).at_q1()
+    assert f.at_q(-3).truncated(6) == f.truncated(6).at_q(-3)
     assert f.diff_q().truncated(6) == f.truncated(6).diff_q()
 
 
@@ -381,12 +441,15 @@ def _assert_stored_as_checked(r):
     st.integers(1, N).flatmap(lambda order: sparse_series(trunc=order)),
     units(),
     st.integers(1, N),
+    st.sampled_from((0, 1, -1, 3, 2**64)),
+    digit_series(5),
 )
 @settings(max_examples=60)
-def test_ring_results_hold_the_stored_invariant(f, g, u, k):
+def test_ring_results_hold_the_stored_invariant(f, g, u, k, value, d):
     for r in (
         f + g, f - g, -f, f * g, f ** 3, f.divide(u),
-        f.at_q1(), f.diff_q(), f.truncated(k),
+        f.at_q1(), f.at_q(value), f.diff_q(), f.truncated(k),
+        _split_q_digits(d.at_q(32), 5),
     ):
         _assert_stored_as_checked(r)
 
@@ -399,6 +462,8 @@ def test_cancellation_leaves_no_stored_zero():
     assert (1, 0, 0) not in dict(product.terms())
     assert product == 1 - x * x
     assert not (q - 1).at_q1()
+    assert not (q + 1).at_q(-1)
+    assert not (x * q).at_q(0)
 
 
 def _schoolbook(f, g):
@@ -453,6 +518,7 @@ def test_ring_operations_skip_the_public_constructor(monkeypatch):
     f = 3 * x * y - q + 2
     g = x - 5 * y * q
     u = 1 - x * y
+    packed = (2 * x * y + x * x).at_q(1 << 40)
     calls = []
     checked_init = TriSeries.__init__
 
@@ -463,7 +529,8 @@ def test_ring_operations_skip_the_public_constructor(monkeypatch):
     monkeypatch.setattr(TriSeries, "__init__", counting)
     results = [
         f * g, f * x, x * f, f + g, f - g, -f, f.divide(u),
-        f.at_q1(), f.diff_q(), f.truncated(5),
+        f.at_q1(), f.at_q(7), f.diff_q(), f.truncated(5),
+        _split_q_digits(packed, 40),
     ]
     assert calls == []
     monkeypatch.undo()
