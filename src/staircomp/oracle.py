@@ -10,11 +10,19 @@ Enumeration and counting read each composition as the same binary word:
 a part p is the letter 1 followed by p - 1 letters 0.  The words of n are
 the binary numerals 2^(n-1) .. 2^n - 1, so both run over that range and
 visit every composition once.  ``compositions()`` splits each word into
-its parts; the counts take the number of parts as the numeral's bit
-count.  A window is then a factor 1 0^{>=0} 1 0^{>=1} ... 1 0^{>=m-1} of
-the word, found by one compiled lookahead pattern at every start, so
-overlapping windows all count.  No states are merged: the histogram of n
-is a census of all 2^(n-1) words.
+its parts.  A window is a factor 1 0^{>=0} 1 0^{>=1} ... 1 0^{>=m-1} of
+the word; ``count_staircases`` finds it with one compiled lookahead
+pattern at every start, so overlapping windows all count.
+
+The histograms and totals come from a census that evaluates the same
+rule bit-sliced (Knuth, TAOCP 4A, 7.1.3): bit plane t is an int holding
+bit t of every numeral in a chunk, one bit per composition.  A few
+operations on whole planes mark the bits where a part starts and where a
+window starts, two bit-sliced counters sum those marks for every
+composition at once, and each class (parts, windows) is then a popcount.
+No states are merged: the histogram of n is a census of all 2^(n-1)
+words, and the per-composition pattern above is the independent second
+implementation the tests compare it against.
 
 Inside a ``shared_census()`` block each census of one (n, m) is built at
 most once and then read by every histogram and total that asks for it;
@@ -88,12 +96,92 @@ def _windows(m: int):
     return re.compile("(?=" + "".join(f"10{{{j},}}" for j in range(m)) + ")").findall
 
 
+_CHUNK_BITS = 14
+"""A census runs over chunks of at most 2^14 numerals, one bit each."""
+
+
+def _add_plane(counter: list[int], plane: int) -> None:
+    """Add a plane of 0/1 digits to a bit-sliced counter, whose planes hold
+    the binary digits of one count per bit, low digit first (a ripple
+    carry)."""
+    for i, digit in enumerate(counter):
+        counter[i], plane = digit ^ plane, digit & plane
+        if not plane:
+            return
+    if plane:
+        counter.append(plane)
+
+
+def _classes(mask: int, counter: list[int]) -> list[tuple[int, int]]:
+    """The (count, bits) pairs that split mask by the counter's value, each
+    with bits nonzero: one split per digit plane, high digit first."""
+    classes = [(0, mask)]
+    for i in range(len(counter) - 1, -1, -1):
+        digit, split = counter[i], []
+        for value, bits in classes:
+            ones = bits & digit
+            if ones:
+                split.append((value | 1 << i, ones))
+            if bits ^ ones:
+                split.append((value, bits ^ ones))
+        classes = split
+    return classes
+
+
 def _enumerate(n: int, m: int) -> Counter:
     """(parts, windows) -> count over every composition of n >= 1, read
-    from the numerals 2^(n-1) .. 2^n - 1."""
-    findall = _windows(m)
-    words = range(1 << (n - 1), 1 << n)
-    return Counter(zip(map(int.bit_count, words), map(len, map(findall, map(bin, words)))))
+    from the numerals 2^(n-1) .. 2^n - 1 a chunk of 2^k of them at a time.
+
+    Inside a chunk, plane P_t holds bit t of each numeral, one bit per
+    composition.  Bits t < k repeat 2^t zeros and 2^t ones; the higher
+    bits are those of the chunk's first numeral, so their planes are
+    constant.  A part starts at every set bit and runs down to the next
+    one, so the part starting at bit t is at least j long where
+    P_t & ~P_{t-1} & ... & ~P_{t-j+1} (none when t < j - 1).  Level m of
+    a window is a part at least m long, and level j < m is a part at least
+    j long whose next part is level j + 1, which one scan up the bits
+    finds; the window starts are level 1.  Two bit-sliced counters then
+    sum the planes of part starts and of window starts, and each class
+    (parts, windows) is a popcount.
+    """
+    k = min(n - 1, _CHUNK_BITS)
+    width = 1 << k
+    full = (1 << width) - 1
+    low = []
+    for t in range(k):
+        half = 1 << t
+        plane, period = ((1 << half) - 1) << half, 2 * half
+        while period < width:
+            plane |= plane << period
+            period *= 2
+        low.append(plane)
+    census = Counter()
+    for first in range(1 << (n - 1), 1 << n, width):
+        starts = low + [full if first >> t & 1 else 0 for t in range(k, n)]
+        clear = [full ^ plane for plane in starts]
+        # at_least[j - 1][t]: the part starting at bit t is at least j long.
+        at_least = [starts]
+        for j in range(2, m + 1):
+            prev = at_least[-1]
+            at_least.append([prev[t] & clear[t - j + 1] if t >= j - 1 else 0
+                             for t in range(n)])
+        level = at_least.pop()
+        while at_least:
+            # below: the next level holds at the highest part start under bit t.
+            below, linked = 0, []
+            for long_enough, next_level, zero in zip(at_least.pop(), level, clear):
+                linked.append(long_enough & below)
+                below = next_level | zero & below
+            level = linked
+        parts, windows = [], []
+        for plane in starts:
+            _add_plane(parts, plane)
+        for plane in level:
+            _add_plane(windows, plane)
+        for b, of_b in _classes(full, parts):
+            for s, bits in _classes(of_b, windows):
+                census[b, s] += bits.bit_count()
+    return census
 
 
 _memo: dict[tuple[int, int], Counter] | None = None
@@ -121,7 +209,7 @@ def shared_census():
 def _census(n: int, m: int) -> Counter:
     """The census of n, read from the open block's memo if it is there.
     A window needs m parts and a composition of n has at most n, so any
-    m > n runs as m = n + 1, whose pattern never matches and stays short.
+    m > n runs as m = n + 1, which finds no window in a few levels.
     Callers must not mutate the result: it may be shared."""
     key = n, min(m, n + 1)
     memo = _memo

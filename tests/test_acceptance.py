@@ -52,9 +52,9 @@ def test_criterion_1_window_counts_of_the_reference_composition(criterion):
 
 
 def test_criterion_2_master_series_equals_enumeration(criterion):
-    with criterion("2: master series equals enumeration for m <= 4, totals <= 14"):
+    with criterion("2: master series equals enumeration for m <= 4, totals <= 20"):
         for m in (1, 2, 3, 4):
-            assert verify.check_gf_vs_oracle(m, max_n=14, trunc=14) is None, m
+            assert verify.check_gf_vs_oracle(m, max_n=20, trunc=20) is None, m
 
 
 def test_criterion_3_marginal_at_q1_is_binomial(criterion):
@@ -82,9 +82,9 @@ def test_criterion_5_cramer_route_equals_the_closed_form(criterion):
 
 
 def test_criterion_6_window_totals_formula_equals_enumeration(criterion):
-    with criterion("6: window totals formula equals enumeration for m <= 4, n <= 14"):
+    with criterion("6: window totals formula equals enumeration for m <= 4, n <= 20"):
         for m in (1, 2, 3, 4):
-            assert verify.check_totals(m, max_n=14, trunc=0) is None, m
+            assert verify.check_totals(m, max_n=20, trunc=0) is None, m
 
 
 def test_criterion_7_totals_series_is_the_q_derivative_at_one(criterion):

@@ -1,7 +1,11 @@
 """Brute-force enumeration: known values and counting invariants."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -276,6 +280,52 @@ def test_counts_match_the_definition():
             assert [count_staircases(p, m) for p in reference] == [
                 _windows_by_definition(p, m) for p in reference
             ]
+
+
+@pytest.mark.parametrize("bits", [1, 3])
+def test_census_across_chunk_boundaries(monkeypatch, bits):
+    # Chunks of 2^bits numerals: every census from n = bits + 2 on spans
+    # several chunks, and its high bit planes are constant in each.
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", bits)
+    for n in range(1, 13):
+        for m in range(1, 9):
+            assert staircase_histogram(n, m).counts == _histogram_by_definition(n, m), (n, m)
+
+
+def test_census_equals_a_recount_of_each_composition():
+    # The per-composition pattern count is the second implementation.
+    for n in range(1, 15):
+        listed = list(compositions(n))
+        for m in range(1, 7):
+            want = Counter((len(c), count_staircases(c, m)) for c in listed)
+            assert staircase_histogram(n, m).counts == want, (n, m)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 20), st.integers(1, 8))
+def test_census_sums_to_the_closed_forms(n, m):
+    hist = staircase_histogram(n, m)
+    assert hist.total() == 2 ** (n - 1)
+    for b in range(1, n + 1):
+        of_b = {s: c for (bb, s), c in hist.counts.items() if bb == b}
+        assert sum(of_b.values()) == comb(n - 1, b - 1), b
+        assert sum(s * c for s, c in of_b.items()) == genfun.total_staircases(n, b, m), b
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+def test_the_census_at_the_default_cap_stays_small():
+    # VmHWM is the peak resident size of the child alone.  Its ru_maxrss
+    # may carry the test process's own peak across the fork and exec.
+    src = str(Path(oracle.__file__).parents[1])
+    code = (
+        "from staircomp.oracle import staircase_histogram\n"
+        "assert staircase_histogram(24, 6).total() == 2 ** 23\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert int(done.stdout) < 64 * 1024, f"peak {done.stdout.strip()} KiB"
 
 
 def test_huge_parts_count_like_any_part_of_at_least_m():
