@@ -150,16 +150,17 @@ def inner_block_matrix(k: int, trunc: int = DEFAULT_TRUNC) -> SeriesMatrix:
     return matrix.submatrix(idx, idx)
 
 
-def det_division_free(matrix: SeriesMatrix, limit: int = DET_DIM_LIMIT) -> TriSeries:
+def det_division_free(matrix: SeriesMatrix) -> TriSeries:
     """Exact determinant by memoized cofactor expansion.
 
     Uses ring operations only: it needs no unit pivots, so it is a route
     independent of ``TriSeries.divide`` for the closed forms to be checked
     against.  Minors are memoized on their column set, so the cost is
-    O(2^dim * dim) series multiplications.
+    O(2^dim * dim) series multiplications; a dimension above
+    ``DET_DIM_LIMIT`` raises DeterminantLimitError.
     """
     n = matrix.dim
-    _check_dim(n, limit)
+    _check_dim(n)
     unit = one(matrix.trunc)
     empty = zero(matrix.trunc)
     memo: dict[int, TriSeries] = {0: unit}
@@ -186,13 +187,12 @@ def det_division_free(matrix: SeriesMatrix, limit: int = DET_DIM_LIMIT) -> TriSe
     return expand((1 << n) - 1)
 
 
-def _check_dim(n: int, limit: int = DET_DIM_LIMIT) -> None:
-    """Refuse a direct determinant of dimension n above limit, before
-    anything of that size is built."""
-    _check_size("limit", limit)
-    if n > limit:
+def _check_dim(n: int) -> None:
+    """Refuse a direct determinant of dimension n above DET_DIM_LIMIT,
+    before anything of that size is built."""
+    if n > DET_DIM_LIMIT:
         raise DeterminantLimitError(
-            f"dimension {n} exceeds the direct-determinant limit {limit}"
+            f"dimension {n} exceeds the direct-determinant limit {DET_DIM_LIMIT}"
         )
 
 

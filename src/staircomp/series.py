@@ -179,8 +179,10 @@ class TriSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        # Raised here, not left to the exponent: Fraction(2).__rpow__
+        # would otherwise compute self ** 2.
         if type(k) is not int:
-            return NotImplemented
+            raise TypeError(f"a series power takes an int exponent, got {k!r}")
         if k < 0:
             return self.inverse() ** (-k)
         result = one(self.trunc)

@@ -4,9 +4,11 @@
 gate calls the same functions at its own sizes, so the two cannot drift
 apart.  Each check takes the window length ``m``, the largest enumerated
 total ``max_n``, the series truncation order ``trunc`` and the
-enumeration cap ``cap``, ignoring the ones it does not need.  It returns
-None when the check holds, or a short description of the first
-disagreement found.
+enumeration cap ``cap``, ignoring the ones it does not need.  It builds
+the two maps it compares and returns ``_first_diff`` of them: None when
+they agree, else their first difference in one format,
+``(<name>=<v>, ...): <got> <g> vs <want> <w>`` at the smallest differing
+key.  The block check prefixes it with ``<family> block size <k> ``.
 
 Each check is sized by what it compares.  The two checks against
 enumeration read ``max_n`` and ignore ``trunc``: the coefficient of x^a
@@ -37,28 +39,26 @@ from math import comb
 
 from . import determinants, genfun, oracle
 
+_TERM_KEY = ("a", "b", "s")
+
 
 def check_gf_vs_oracle(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
     """Closed-form master series at order max_n against enumeration,
     totals 1..max_n."""
-    by_total: dict[int, dict] = {}
-    for (a, b, s), c in genfun.staircase_gf(m, max_n).terms():
-        by_total.setdefault(a, {})[a, b, s] = c
-    for a in range(1, max_n + 1):
-        hist = oracle.staircase_histogram(a, m, cap=cap)
-        want = {(a, b, s): c for (b, s), c in hist.counts.items()}
-        problem = _first_diff(by_total.get(a, {}), want, "series", "enumeration")
-        if problem:
-            return problem
-    return None
+    series = {key: c for key, c in genfun.staircase_gf(m, max_n).terms() if key[0]}
+    census = {
+        (a, b, s): c
+        for a in range(1, max_n + 1)
+        for (b, s), c in oracle.staircase_histogram(a, m, cap=cap).counts.items()
+    }
+    return _first_diff(_TERM_KEY, series, "series", census, "enumeration")
 
 
 def check_cramer(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
     """Cramer route against the closed form at order trunc."""
     closed = dict(genfun.staircase_gf(m, trunc).terms())
     cramer = dict(genfun.staircase_gf_cramer(m, trunc).terms())
-    problem = _first_diff(closed, cramer, "closed", "Cramer")
-    return f"first difference at {problem}" if problem else None
+    return _first_diff(_TERM_KEY, closed, "closed", cramer, "Cramer")
 
 
 def check_block_dets(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
@@ -70,42 +70,37 @@ def check_block_dets(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
     # its step x^i vanishes.  Any larger size repeats the comparison made
     # at the last one checked, so the loops stop here, not at m + 1.
     last = min(m + 1, trunc + 2)
-    for k in range(0, last + 1):
-        if (determinants.top_block_det(k, trunc, "closed")
-                != determinants.top_block_det(k, trunc, "recurrence")):
-            return f"top block size {k}: closed form differs from recurrence"
-    for k in range(-1, last + 1):
-        if (determinants.inner_block_det(k, trunc, "closed")
-                != determinants.inner_block_det(k, trunc, "recurrence")):
-            return f"inner block size {k}: closed form differs from recurrence"
+    for family, block_det, first in (
+        ("top", determinants.top_block_det, 0),
+        ("inner", determinants.inner_block_det, -1),
+    ):
+        for k in range(first, last + 1):
+            closed = dict(block_det(k, trunc, "closed").terms())
+            recurrence = dict(block_det(k, trunc, "recurrence").terms())
+            problem = _first_diff(_TERM_KEY, closed, "closed", recurrence, "recurrence")
+            if problem:
+                return f"{family} block size {k} {problem}"
     return None
 
 
 def check_totals(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
     """Closed-form window totals against enumeration, n = 1..max_n."""
+    keys = [(n, parts) for n in range(1, max_n + 1) for parts in range(1, n + 1)]
     with oracle.shared_census():
-        for n in range(1, max_n + 1):
-            for parts in range(1, n + 1):
-                formula = genfun.total_staircases(n, parts, m)
-                brute = oracle.total_staircases(n, parts, m, cap=cap)
-                if formula != brute:
-                    return (
-                        f"n={n}, parts={parts}: formula {formula} vs enumeration {brute}"
-                    )
-    return None
+        formula = {(n, parts): genfun.total_staircases(n, parts, m) for n, parts in keys}
+        brute = {(n, parts): oracle.total_staircases(n, parts, m, cap=cap) for n, parts in keys}
+    return _first_diff(("n", "parts"), formula, "formula", brute, "enumeration")
 
 
 def check_marginals(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
     """The q = 1 marginal against C(a-1, b-1) for every a <= trunc; its
-    constant term is 1."""
-    gf = genfun.gf_at_q1(m, trunc)
-    for a in range(0, trunc + 1):
-        for b in range(0, trunc + 2):
-            want = comb(a - 1, b - 1) if 1 <= b <= a else int(a == b == 0)
-            got = gf.coeff(a, b, 0)
-            if got != want:
-                return f"(a={a}, b={b}): marginal {got}, binomial {want}"
-    return None
+    constant term is 1, and it has no other term."""
+    marginal = dict(genfun.gf_at_q1(m, trunc).terms())
+    binomial = {
+        (a, b, 0): comb(a - 1, b - 1) for a in range(1, trunc + 1) for b in range(1, a + 1)
+    }
+    binomial[0, 0, 0] = 1
+    return _first_diff(_TERM_KEY, marginal, "marginal", binomial, "binomial")
 
 
 CHECKS = (
@@ -118,11 +113,12 @@ CHECKS = (
 """Every check ``staircomp verify`` runs, in order, with its report name."""
 
 
-def _first_diff(got, want, got_name, want_name):
-    """The smallest (a, b, s) key whose counts differ, described, or None."""
-    for key in sorted(set(got) | set(want)):
-        g, w = got.get(key, 0), want.get(key, 0)
-        if g != w:
-            a, b, s = key
-            return f"(a={a}, b={b}, s={s}): {got_name} {g} vs {want_name} {w}"
-    return None
+def _first_diff(names, got, got_name, want, want_name):
+    """None when the maps agree, else their values at the smallest key
+    where they differ (an absent key reads 0), described with the key's
+    components named by ``names``."""
+    if got == want:
+        return None
+    key = min(k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0))
+    where = ", ".join(f"{name}={v}" for name, v in zip(names, key))
+    return f"({where}): {got_name} {got.get(key, 0)} vs {want_name} {want.get(key, 0)}"

@@ -171,13 +171,15 @@ MISMATCHES = {
            _extra_histogram_count, "(a=1, b=1, s=0): series 1 vs enumeration 2"),
     "cramer": ("Cramer path vs closed form", genfun, "staircase_gf_cramer",
                lambda real: _extra_term(real, (3, 2, 1)),
-               "first difference at (a=3, b=2, s=1): closed 1 vs Cramer 2"),
+               "(a=3, b=2, s=1): closed 1 vs Cramer 2"),
     "blocks": ("block determinant recurrences vs closed forms", determinants, "top_block_det",
-               _recurrence_off_by_one, "top block size 0: closed form differs from recurrence"),
+               _recurrence_off_by_one,
+               "top block size 0 (a=0, b=0, s=0): closed 0 vs recurrence 1"),
     "totals": ("window totals: formula vs enumeration", genfun, "total_staircases",
-               lambda real: lambda n, parts, m: 0, "n=3, parts=2: formula 0 vs enumeration 1"),
+               lambda real: lambda n, parts, m: 0, "(n=3, parts=2): formula 0 vs enumeration 1"),
     "marginals": ("q = 1 marginals", genfun, "gf_at_q1",
-                  lambda real: _extra_term(real, (2, 1, 0)), "(a=2, b=1): marginal 2, binomial 1"),
+                  lambda real: _extra_term(real, (2, 1, 0)),
+                  "(a=2, b=1, s=0): marginal 2 vs binomial 1"),
 }
 
 
@@ -191,6 +193,13 @@ def test_verify_reports_mismatches(capsys, monkeypatch, name, module, attr, make
     # The report names the failing check, the first offending point and both values.
     assert f"FAIL {name}: {difference}\n" in out
     assert "4/5 checks passed" in out
+
+
+@pytest.mark.parametrize("key", [(2, 9, 0), (3, 1, 1)], ids=["b-above-a", "q-term"])
+def test_marginal_check_sees_a_stray_term_at_any_b_or_s(monkeypatch, key):
+    monkeypatch.setattr(genfun, "gf_at_q1", _extra_term(genfun.gf_at_q1, key))
+    a, b, s = key
+    assert verify.check_marginals(2, 6, 6) == f"(a={a}, b={b}, s={s}): marginal 1 vs binomial 0"
 
 
 def test_block_check_finishes_for_a_huge_window():
@@ -208,7 +217,7 @@ def test_block_check_reaches_size_trunc_plus_two(monkeypatch, attr, family):
 
     monkeypatch.setattr(determinants, attr, fake)
     assert verify.check_block_dets(50, 3, trunc) == (
-        f"{family} block size {trunc + 2}: closed form differs from recurrence"
+        f"{family} block size {trunc + 2} (a=0, b=0, s=0): closed 1 vs recurrence 2"
     )
 
 
@@ -388,6 +397,15 @@ def test_usage_errors_exit_with_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("option, text", [("--m", "abc"), ("--max-n", "1.5")])
+def test_a_non_integer_size_is_a_usage_error(capsys, option, text):
+    argv = {"--m": "2", "--max-n": "3", option: text}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", *(word for pair in argv.items() for word in pair)])
+    assert exc.value.code == 2
+    assert f"expected an integer, got {text!r}" in capsys.readouterr().err
 
 
 def test_truncation_below_the_verify_range_runs_the_checks(capsys):

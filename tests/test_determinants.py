@@ -7,6 +7,7 @@ import pytest
 
 from staircomp import determinants
 from staircomp.determinants import (
+    DET_DIM_LIMIT,
     DeterminantLimitError,
     SeriesMatrix,
     build_system,
@@ -84,11 +85,12 @@ def test_division_free_det_of_unit_numerator():
 
 
 def test_division_free_det_respects_the_dimension_limit():
+    dim = DET_DIM_LIMIT + 1
     eye = SeriesMatrix(
-        [[one(4) if i == j else zero(4) for j in range(3)] for i in range(3)]
+        [[one(4) if i == j else zero(4) for j in range(dim)] for i in range(dim)]
     )
-    with pytest.raises(DeterminantLimitError):
-        det_division_free(eye, limit=2)
+    with pytest.raises(DeterminantLimitError, match=f"^dimension {dim} exceeds "):
+        det_division_free(eye)
 
 
 def test_matrix_validation():
@@ -96,6 +98,13 @@ def test_matrix_validation():
         SeriesMatrix([[one(4), one(4)]])
     with pytest.raises(ValueError):
         SeriesMatrix([[one(4), one(5)], [one(4), one(4)]])
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_replacement_column_must_match_the_dimension(length):
+    matrix, _ = build_system(1, 4)
+    with pytest.raises(ValueError, match="^replacement column has the wrong length$"):
+        matrix.with_column(0, [one(4)] * length)
 
 
 @pytest.mark.parametrize(
@@ -106,16 +115,6 @@ def test_matrix_validation():
 def test_matrix_entries_must_be_series(rows):
     with pytest.raises(TypeError, match="^entries must be TriSeries, got "):
         SeriesMatrix(rows)
-
-
-def test_division_free_limit_follows_the_size_rule():
-    eye = SeriesMatrix([[one(4)]])
-    for bad in (True, 2.5, 8.0):
-        with pytest.raises(TypeError, match=f"^limit must be an int, got {re.escape(repr(bad))}$"):
-            det_division_free(eye, limit=bad)
-    with pytest.raises(ValueError, match="^limit must be at least 1, got 0$"):
-        det_division_free(eye, limit=0)
-    assert det_division_free(eye, limit=1) == one(4)
 
 
 @pytest.mark.parametrize("block_det", [top_block_det, inner_block_det])

@@ -1,6 +1,8 @@
 """Ring operations of the truncated trivariate series."""
 
 import json
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +232,16 @@ def test_digit_split_skips_runs_of_zero_digits():
     assert _split_q_digits(packed, 7) == TriSeries(N, {(2, 1, 0): 3, (2, 1, 100): 5, (4, 0, 8): 16})
 
 
+def test_digit_split_skips_a_long_run_of_zero_digits_in_one_shift():
+    # Shifting digit by digit copies the 6-million-bit rest 100000 times
+    # (several seconds); one shift over the run takes well under 1 ms.
+    packed = TriSeries(N, {(0, 0, 0): 5 + (3 << (60 * 100000))})
+    start = time.perf_counter()
+    digits = _split_q_digits(packed, 60)
+    assert time.perf_counter() - start < 1.0
+    assert dict(digits.terms()) == {(0, 0, 0): 5, (0, 0, 100000): 3}
+
+
 def test_q_derivative():
     _, _, q = variables(N)
     assert (q * q).diff_q() == 2 * q
@@ -283,11 +295,43 @@ def test_truncated_checks_the_order_before_the_same_order_shortcut(own, order, e
         one(own).truncated(order)
 
 
-@pytest.mark.parametrize("exponent", [True, False, 2.0], ids=["True", "False", "float"])
+@pytest.mark.parametrize(
+    "exponent",
+    [True, False, 2.0, Fraction(2), Fraction(1, 2)],
+    ids=["True", "False", "float", "Fraction(2)", "Fraction(1, 2)"],
+)
 def test_powers_take_int_exponents_only(exponent):
     x, _, _ = variables(N)
     with pytest.raises(TypeError):
         (one(N) - x) ** exponent
+
+
+NON_INTS = [1.0, True, Fraction(1), Fraction(1, 2)]
+RING_OPERATIONS = {
+    "add": lambda f, v: f + v,
+    "radd": lambda f, v: v + f,
+    "sub": lambda f, v: f - v,
+    "rsub": lambda f, v: v - f,
+    "mul": lambda f, v: f * v,
+    "rmul": lambda f, v: v * f,
+    "divide": lambda f, v: f.divide(v),
+}
+
+
+@pytest.mark.parametrize("value", NON_INTS, ids=repr)
+@pytest.mark.parametrize("operation", RING_OPERATIONS.values(), ids=RING_OPERATIONS.keys())
+def test_ring_operations_take_no_non_int_operand(operation, value):
+    # The ring holds exact ints only: a float, bool or Fraction never
+    # coerces to a constant series.
+    x, _, _ = variables(N)
+    with pytest.raises(TypeError):
+        operation(one(N) - x, value)
+
+
+@pytest.mark.parametrize("value", NON_INTS, ids=repr)
+def test_a_series_equals_no_non_int(value):
+    assert not one(N) == value
+    assert one(N) != value
 
 
 def test_non_int_truncation_orders_rejected():
