@@ -11,6 +11,7 @@ promise.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -42,7 +43,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` leaves it
+    unchanged, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="staircomp",
         description="Exact staircase-pattern statistics for integer compositions.",

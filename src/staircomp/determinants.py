@@ -13,7 +13,19 @@ blocks anchored at the top-left corner of the numerator matrix, and
 column.  The two families differ by an index shift.  Each has a closed
 form built from k_m = sum_{j<m} x^(mj - C(j,2)) (y/(1-x))^j, and each
 satisfies one three-term recurrence in the block size, seeded
-differently per family.
+differently per family:
+
+    e_i = (1 - x^i y (1+z)) e_{i-1} + x^i y z e_{i-2},   z = -1/(1-x).
+
+``_recurrence`` generates the whole sequence e_{-1}, e_0, ..., e_trunc in
+one sweep, each step written with one general product, by z, and one
+one-term shift, by x^i y:
+
+    e_i = e_{i-1} + x^i y (z (e_{i-2} - e_{i-1}) - e_{i-1}).
+
+The top blocks read d_k = e_{k-1} from the seeds (0, 1), the inner blocks
+d_k = e_k from (1, 1); ``verify.check_block_dets`` reads every block size
+of a family from one sweep.
 
 The closed forms are evaluated with every 1/(1-x) cleared:
 ``_cleared_top_sum`` builds the polynomial U~_m = k_m (1-x)^(m-1), and
@@ -29,8 +41,9 @@ closed forms are checked against.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .series import DEFAULT_TRUNC, TriSeries, _check_size, monomial, one, variables, zero
 
@@ -205,14 +218,15 @@ def top_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") -> T
 
     The closed form is evaluated as the cleared polynomial
     U~_k = sum_{j<k} x^(kj - C(j,2)) y^j (1-x)^(k-1-j) over (1-x)^(k-1).
-    The size-0 value is 0, the seed the recurrence needs.
+    The size-0 value is 0, the seed the recurrence needs.  The recurrence
+    reads entry k of the ``_recurrence`` sweep, or its last entry.
     """
     _check_size("k", k, least=0)
     _check_mode(mode)
     if mode == "closed":
         x = monomial(1, 0, 0, 1, trunc)
         return _cleared_top_sum(k, trunc).divide((one(trunc) - x) ** max(0, k - 1))
-    return _recurrence(k - 1, zero(trunc), one(trunc))
+    return _entry(_recurrence(zero(trunc), one(trunc)), k)
 
 
 def inner_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") -> TriSeries:
@@ -226,6 +240,8 @@ def inner_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") ->
     The closed form is x^C(k+2,2) u^(k+1) + psi * top_block_det(k+1) with
     u = y/(1-x) and psi = (1-x-xy)/(1-x).  It is evaluated as the cleared
     polynomial x^C(k+2,2) y^(k+1) + (1-x-xy) U~_{k+1} over (1-x)^(k+1).
+    The recurrence reads entry k + 1 of the ``_recurrence`` sweep, or its
+    last entry.
     """
     _check_size("k", k, least=-1)
     _check_mode(mode)
@@ -233,7 +249,7 @@ def inner_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") ->
         x = monomial(1, 0, 0, 1, trunc)
         body = _cleared_closing(k + 1, _cleared_top_sum(k + 1, trunc))
         return body.divide((one(trunc) - x) ** (k + 1))
-    return _recurrence(k, one(trunc), one(trunc))
+    return _entry(_recurrence(one(trunc), one(trunc)), k + 1)
 
 
 def _cleared_top_sum(k: int, trunc: int) -> TriSeries:
@@ -263,27 +279,32 @@ def _cleared_closing(m: int, body: TriSeries) -> TriSeries:
     return monomial(comb(m + 1, 2), m, 0, 1, trunc) + (one(trunc) - x - x * y) * body
 
 
-def _recurrence(n: int, before: TriSeries, start: TriSeries) -> TriSeries:
-    """e_n of e_i = (1 - x^i y (1+z)) e_{i-1} + x^i y z e_{i-2} for n >= -1,
-    seeded with e_{-1} = before and e_0 = start.
+def _recurrence(before: TriSeries, start: TriSeries) -> Iterator[TriSeries]:
+    """e_{-1}, e_0, ..., e_trunc of
+    e_i = (1 - x^i y (1+z)) e_{i-1} + x^i y z e_{i-2}, seeded with
+    e_{-1} = before and e_0 = start: trunc + 2 entries.
 
-    The top blocks are d_k = e_{k-1} from (0, 1), the inner blocks
-    d_k = e_k from (1, 1).
+    Each step is taken as e_i = e_{i-1} + x^i y (z (e_{i-2} - e_{i-1}) - e_{i-1}),
+    one product by z and one shift by x^i y, with ring operations only.
+    Past step trunc the step x^i is zero at this order, so every later
+    e_i equals e_trunc and the sweep stops there.
     """
-    if n == -1:
-        return before
     trunc = start.trunc
     z = _z(trunc)
-    unit = one(trunc)
-    unit_z = unit + z
     prev2, prev = before, start
-    # Past step trunc the step x^i is zero at this order, so e_i = e_{i-1}
-    # from there on and e_n is the e_i of the last step taken.
-    for i in range(1, min(n, trunc) + 1):
+    yield prev2
+    yield prev
+    for i in range(1, trunc + 1):
         step = monomial(i, 1, 0, 1, trunc)
-        current = (unit - step * unit_z) * prev + step * z * prev2
-        prev2, prev = prev, current
-    return prev
+        prev2, prev = prev, prev + step * (z * (prev2 - prev) - prev)
+        yield prev
+
+
+def _entry(sweep: Iterator[TriSeries], index: int) -> TriSeries:
+    """Entry ``index`` of a sweep, or its last entry when it is shorter."""
+    for value in islice(sweep, index + 1):
+        pass
+    return value
 
 
 def numerator_det(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:

@@ -38,6 +38,7 @@ from __future__ import annotations
 from math import comb
 
 from . import determinants, genfun, oracle
+from .series import one, zero
 
 _TERM_KEY = ("a", "b", "s")
 
@@ -63,21 +64,30 @@ def check_cramer(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
 
 def check_block_dets(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
     """Closed forms against recurrences: top blocks of size 0..m+1 and
-    inner blocks of size -1..m+1, at order trunc, up to size trunc + 2."""
+    inner blocks of size -1..m+1, at order trunc, up to size trunc + 2.
+
+    Each family's recurrence is one sweep, read size by size: size k is
+    entry k - first of ``determinants._recurrence`` from the family's
+    seeds, or its last entry once the sweep has ended.
+    """
     # At order trunc both modes are constant in the block size from
     # trunc + 1 on: every j >= 1 term of the closed forms has x-degree at
-    # least the size, and the recurrence stops at step trunc, past which
-    # its step x^i vanishes.  Any larger size repeats the comparison made
-    # at the last one checked, so the loops stop here, not at m + 1.
+    # least the size, and the sweep ends at step trunc, past which its
+    # step x^i vanishes.  Any larger size repeats the comparison made at
+    # the last one checked, so the loops stop here, not at m + 1.
     last = min(m + 1, trunc + 2)
-    for family, block_det, first in (
-        ("top", determinants.top_block_det, 0),
-        ("inner", determinants.inner_block_det, -1),
+    for family, block_det, first, before in (
+        ("top", determinants.top_block_det, 0, zero),
+        ("inner", determinants.inner_block_det, -1, one),
     ):
+        sweep = determinants._recurrence(before(trunc), one(trunc))
+        recurrence = None
         for k in range(first, last + 1):
+            recurrence = next(sweep, recurrence)
             closed = dict(block_det(k, trunc, "closed").terms())
-            recurrence = dict(block_det(k, trunc, "recurrence").terms())
-            problem = _first_diff(_TERM_KEY, closed, "closed", recurrence, "recurrence")
+            problem = _first_diff(
+                _TERM_KEY, closed, "closed", dict(recurrence.terms()), "recurrence"
+            )
             if problem:
                 return f"{family} block size {k} {problem}"
     return None

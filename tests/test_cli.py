@@ -136,6 +136,29 @@ def test_a_full_device_gives_one_error_line(argv):
     assert done.stderr == f"error: cannot write {target}: No space left on device\n"
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("bad", [
+    ("table", "--m", "0", "--max-n", "5"),
+    ("verify", "--m", "2"),
+    ("nonsense",),
+], ids=["bad-value", "missing-option", "unknown-command"])
+def test_the_shared_parser_survives_a_usage_error(capsys, bad):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(list(bad))
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    golden = Path(__file__).parent / "golden"
+    assert run(capsys, "verify", "--m", "2", "--max-n", "6") == (
+        0, (golden / "verify-m2-n6.out").read_text(encoding="utf-8"), ""
+    )
+    assert run(capsys, "table", "--m", "2", "--max-n", "7", "--format", "csv") == (
+        0, (golden / "table-m2-n7-csv.out").read_text(encoding="utf-8"), ""
+    )
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--m", "2", "--max-n", "8")
     assert code == 0
@@ -161,7 +184,7 @@ def _extra_term(real, key):
 
 
 def _recurrence_off_by_one(real):
-    return lambda k, trunc, mode="closed": real(k, trunc, mode) + int(mode == "recurrence")
+    return lambda before, start: (entry + 1 for entry in real(before, start))
 
 
 # For each check: the layer function it depends on, a faulty stand-in, and
@@ -172,7 +195,7 @@ MISMATCHES = {
     "cramer": ("Cramer path vs closed form", genfun, "staircase_gf_cramer",
                lambda real: _extra_term(real, (3, 2, 1)),
                "(a=3, b=2, s=1): closed 1 vs Cramer 2"),
-    "blocks": ("block determinant recurrences vs closed forms", determinants, "top_block_det",
+    "blocks": ("block determinant recurrences vs closed forms", determinants, "_recurrence",
                _recurrence_off_by_one,
                "top block size 0 (a=0, b=0, s=0): closed 0 vs recurrence 1"),
     "totals": ("window totals: formula vs enumeration", genfun, "total_staircases",
@@ -206,19 +229,46 @@ def test_block_check_finishes_for_a_huge_window():
     assert verify.check_block_dets(10**9, 3, 14, oracle.MAX_ENUM_N) is None
 
 
-@pytest.mark.parametrize("attr, family", [("top_block_det", "top"), ("inner_block_det", "inner")])
-def test_block_check_reaches_size_trunc_plus_two(monkeypatch, attr, family):
-    # A recurrence wrong at the last size checked, and nowhere else.
+@pytest.mark.parametrize("family, first, seed", [("top", 0, 0), ("inner", -1, 1)],
+                         ids=["top_block_det-top", "inner_block_det-inner"])
+def test_block_check_reaches_size_trunc_plus_two(monkeypatch, family, first, seed):
+    # A recurrence wrong at the last size checked, and nowhere else: the
+    # family's sweep runs on to that size, where its entry is off by one.
     trunc = 6
-    real = getattr(determinants, attr)
+    real = determinants._recurrence
+    index = trunc + 2 - first
 
-    def fake(k, trunc, mode="closed"):
-        return real(k, trunc, mode) + int(mode == "recurrence" and k == trunc + 2)
+    def fake(before, start):
+        entries = list(real(before, start))
+        if before == seed:
+            entries += entries[-1:] * (index + 1 - len(entries))
+            entries[index] += 1
+        return iter(entries)
 
-    monkeypatch.setattr(determinants, attr, fake)
+    monkeypatch.setattr(determinants, "_recurrence", fake)
     assert verify.check_block_dets(50, 3, trunc) == (
         f"{family} block size {trunc + 2} (a=0, b=0, s=0): closed 1 vs recurrence 2"
     )
+
+
+def test_block_check_sweeps_each_family_once(monkeypatch):
+    sweeps, modes = [], []
+    real_sweep = determinants._recurrence
+
+    def counting_sweep(before, start):
+        sweeps.append(before)
+        return real_sweep(before, start)
+
+    monkeypatch.setattr(determinants, "_recurrence", counting_sweep)
+    for attr in ("top_block_det", "inner_block_det"):
+        def recording(k, trunc, mode="closed", real=getattr(determinants, attr)):
+            modes.append(mode)
+            return real(k, trunc, mode)
+        monkeypatch.setattr(determinants, attr, recording)
+    assert verify.check_block_dets(60, 0, 60) is None
+    assert sweeps == [0, 1]
+    # Top sizes 0..61 and inner sizes -1..61, each once, closed only.
+    assert len(modes) == 62 + 63 and set(modes) == {"closed"}
 
 
 def test_verify_enumerates_each_total_once_per_run(capsys, builds):

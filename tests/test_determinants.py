@@ -4,6 +4,8 @@ import re
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from staircomp import determinants
 from staircomp.determinants import (
@@ -20,7 +22,7 @@ from staircomp.determinants import (
     top_block_det,
     top_block_matrix,
 )
-from staircomp.series import monomial, one, variables, zero
+from staircomp.series import TriSeries, monomial, one, variables, zero
 
 N = 12
 
@@ -194,6 +196,49 @@ def test_recurrences_at_a_huge_block_equal_the_closed_forms(trunc):
     for k in (10**9, *range(trunc, trunc + 6)):
         assert top_block_det(k, trunc, "recurrence") == top_block_det(k, trunc, "closed")
         assert inner_block_det(k, trunc, "recurrence") == inner_block_det(k, trunc, "closed")
+
+
+def _printed_sequence(n, before, start):
+    """e_{-1}, ..., e_n of e_i = (1 - x^i y (1+z)) e_{i-1} + x^i y z e_{i-2},
+    each step taken as printed, every step to n."""
+    trunc = start.trunc
+    z = _z(trunc)
+    seq = [before, start]
+    for i in range(1, n + 1):
+        step = monomial(i, 1, 0, 1, trunc)
+        seq.append((one(trunc) - step * (one(trunc) + z)) * seq[-1] + step * z * seq[-2])
+    return seq
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3, 8])
+def test_sweep_entries_are_the_block_dets_at_every_size(trunc):
+    # trunc + 2 entries; size k of a family is entry k - first, or the
+    # last entry beyond it.
+    for block_det, first, seed in ((top_block_det, 0, zero), (inner_block_det, -1, one)):
+        entries = list(determinants._recurrence(seed(trunc), one(trunc)))
+        assert len(entries) == trunc + 2
+        printed = _printed_sequence(trunc + 3 - first, seed(trunc), one(trunc))
+        for k in range(first, trunc + 4):
+            value = block_det(k, trunc, "recurrence")
+            assert value == entries[min(k - first, trunc + 1)] == printed[k - first], (block_det, k)
+
+
+@st.composite
+def seed_series(draw, trunc):
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        key = (draw(st.integers(0, trunc)), draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+        terms[key] = draw(st.integers(-9, 9))
+    return TriSeries(trunc, terms)
+
+
+@given(st.integers(1, 8).flatmap(lambda t: st.tuples(seed_series(t), seed_series(t))))
+def test_sweep_step_is_the_printed_step(seeds):
+    # e_{i-1} + x^i y (z (e_{i-2} - e_{i-1}) - e_{i-1}) is the printed step.
+    before, start = seeds
+    assert list(determinants._recurrence(before, start)) == _printed_sequence(
+        start.trunc, before, start
+    )
 
 
 def test_mode_name_is_validated():
