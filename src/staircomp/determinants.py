@@ -18,25 +18,32 @@ differently per family:
     e_i = (1 - x^i y (1+z)) e_{i-1} + x^i y z e_{i-2},   z = -1/(1-x).
 
 ``_recurrence`` generates the whole sequence e_{-1}, e_0, ..., e_trunc in
-one sweep, each step written with one general product, by z, and one
-one-term shift, by x^i y:
+one sweep, each step written with one product by z and one one-term
+shift, by x^i y:
 
     e_i = e_{i-1} + x^i y (z (e_{i-2} - e_{i-1}) - e_{i-1}).
 
-The top blocks read d_k = e_{k-1} from the seeds (0, 1), the inner blocks
-d_k = e_k from (1, 1); ``verify.check_block_dets`` reads every block size
-of a family from one sweep.
+The product by z is a negated running sum along x (``_times_z``): the
+coefficient of x^a y^b q^s in z d is minus the sum of d's coefficients
+of x^a' y^b q^s over a' <= a.  The top blocks read d_k = e_{k-1} from the
+seeds (0, 1), the inner blocks d_k = e_k from (1, 1);
+``verify.check_block_dets`` reads every block size of a family from one
+sweep.
 
-The closed forms are evaluated with every 1/(1-x) cleared:
-``_cleared_top_sum`` builds the polynomial U~_m = k_m (1-x)^(m-1), and
-``_cleared_closing`` the polynomial x^C(m+1,2) y^m + (1-x-xy) U~_m, which
-is the inner block of size m - 1 times (1-x)^m.  Each block is then one
-``TriSeries.divide`` by a power of 1 - x.  ``genfun.staircase_gf`` builds
-the master series' denominator with the same two helpers.  The
-recurrences, the cofactor expansions in ``numerator_det`` and
-``denominator_det``, and ``det_division_free`` (ring operations only, no
-division) keep their own arithmetic: they are the independent routes the
-closed forms are checked against.
+The closed forms are sums of signed, shifted powers x^e u^j of
+u = y/(1-x), and the coefficient of x^a y^j in u^j is C(a+j-1, j-1), so
+each power is one binomial column and no block needs a division
+(``_closed_block``).  The top block of size m is k_m; since
+(1-x-xy)/(1-x) = 1 - x u, the inner block of size m - 1 is
+x^C(m+1,2) u^m + k_m - x u k_m, the same powers again, shifted by x u
+with their signs flipped.  The cofactor expansions in ``numerator_det``
+and ``denominator_det`` take their product by z as the same running sum.
+The recurrences and ``det_division_free`` (ring operations only, with
+general products by z) are the independent routes the closed forms are
+checked against.  ``genfun.staircase_gf`` builds the master series from
+the cleared polynomials U~_m = k_m (1-x)^(m-1) (``_cleared_top_sum``) and
+x^C(m+1,2) y^m + (1-x-xy) U~_m (``_cleared_closing``), the inner block of
+size m - 1 times (1-x)^m.
 """
 
 from __future__ import annotations
@@ -45,7 +52,16 @@ from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .series import DEFAULT_TRUNC, TriSeries, _check_size, monomial, one, variables, zero
+from .series import (
+    DEFAULT_TRUNC,
+    TriSeries,
+    _check_size,
+    _from_ring,
+    monomial,
+    one,
+    variables,
+    zero,
+)
 
 DET_DIM_LIMIT = 8
 """Default cap for direct determinant expansion (cost grows with 2^dim)."""
@@ -216,16 +232,15 @@ def top_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") -> T
     recurrence:  d_k = (1 - x^(k-1) y (1+z)) d_{k-1} + x^(k-1) y z d_{k-2}
                  from d_0 = 0 and d_1 = 1, with z = -1/(1-x).
 
-    The closed form is evaluated as the cleared polynomial
-    U~_k = sum_{j<k} x^(kj - C(j,2)) y^j (1-x)^(k-1-j) over (1-x)^(k-1).
-    The size-0 value is 0, the seed the recurrence needs.  The recurrence
-    reads entry k of the ``_recurrence`` sweep, or its last entry.
+    The closed form is summed term by term from the binomial columns of
+    u^j = (y/(1-x))^j (``_closed_block``).  The size-0 value is 0, the
+    seed the recurrence needs.  The recurrence reads entry k of the
+    ``_recurrence`` sweep, or its last entry.
     """
     _check_size("k", k, least=0)
     _check_mode(mode)
     if mode == "closed":
-        x = monomial(1, 0, 0, 1, trunc)
-        return _cleared_top_sum(k, trunc).divide((one(trunc) - x) ** max(0, k - 1))
+        return _closed_block(k, trunc, closing=False)
     return _entry(_recurrence(zero(trunc), one(trunc)), k)
 
 
@@ -238,18 +253,57 @@ def inner_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") ->
                  from d_{-1} = 1 and d_0 = 1.
 
     The closed form is x^C(k+2,2) u^(k+1) + psi * top_block_det(k+1) with
-    u = y/(1-x) and psi = (1-x-xy)/(1-x).  It is evaluated as the cleared
-    polynomial x^C(k+2,2) y^(k+1) + (1-x-xy) U~_{k+1} over (1-x)^(k+1).
-    The recurrence reads entry k + 1 of the ``_recurrence`` sweep, or its
-    last entry.
+    u = y/(1-x) and psi = (1-x-xy)/(1-x) = 1 - x u, so it is the top
+    block's sum of powers of u, that sum again shifted by x u with its
+    sign flipped, and one lead power (``_closed_block``).  The recurrence
+    reads entry k + 1 of the ``_recurrence`` sweep, or its last entry.
     """
     _check_size("k", k, least=-1)
     _check_mode(mode)
     if mode == "closed":
-        x = monomial(1, 0, 0, 1, trunc)
-        body = _cleared_closing(k + 1, _cleared_top_sum(k + 1, trunc))
-        return body.divide((one(trunc) - x) ** (k + 1))
+        return _closed_block(k + 1, trunc, closing=True)
     return _entry(_recurrence(one(trunc), one(trunc)), k + 1)
+
+
+def _closed_block(m: int, trunc: int, closing: bool) -> TriSeries:
+    """k_m = sum_{j<m} x^(mj - C(j,2)) u^j with u = y/(1-x), the top block
+    of size m; with ``closing``, x^C(m+1,2) u^m + (1 - x u) k_m, the inner
+    block of size m - 1.
+
+    Each power of k_m has x-degree mj - C(j,2) >= j, so no j above
+    ``trunc`` keeps a term and the sum stops at min(m, trunc + 1): a
+    huge m costs no more than m = trunc + 1.
+    """
+    _check_size("trunc", trunc)
+    powers = [(1, m * j - comb(j, 2), j) for j in range(min(m, trunc + 1))]
+    if closing:
+        powers += [(-sign, e + 1, j + 1) for sign, e, j in powers]
+        powers.append((1, comb(m + 1, 2), m))
+    return _sum_of_powers(trunc, powers)
+
+
+def _sum_of_powers(trunc: int, powers: Iterable[tuple[int, int, int]]) -> TriSeries:
+    """sum of sign * x^e u^j over (sign, e, j) in ``powers``, u = y/(1-x).
+
+    u^0 = 1, and for j >= 1 the coefficient of x^a y^j in u^j is
+    C(a+j-1, j-1), so each power is one binomial column written from
+    x-degree e up to ``trunc``; a power with e > trunc has no term.
+    Coefficients that cancel are dropped.
+    """
+    acc: dict[tuple[int, int, int], int] = {}
+    get = acc.get
+    for sign, e, j in powers:
+        if e > trunc:
+            continue
+        if not j:
+            acc[e, 0, 0] = get((e, 0, 0), 0) + sign
+            continue
+        c = sign
+        for a in range(trunc - e + 1):
+            key = (e + a, j, 0)
+            acc[key] = get(key, 0) + c
+            c = c * (a + j) // (a + 1)
+    return _from_ring(trunc, {key: c for key, c in acc.items() if c})
 
 
 def _cleared_top_sum(k: int, trunc: int) -> TriSeries:
@@ -285,19 +339,42 @@ def _recurrence(before: TriSeries, start: TriSeries) -> Iterator[TriSeries]:
     e_{-1} = before and e_0 = start: trunc + 2 entries.
 
     Each step is taken as e_i = e_{i-1} + x^i y (z (e_{i-2} - e_{i-1}) - e_{i-1}),
-    one product by z and one shift by x^i y, with ring operations only.
-    Past step trunc the step x^i is zero at this order, so every later
-    e_i equals e_trunc and the sweep stops there.
+    one product by z, as the running sum ``_times_z``, and one shift by
+    x^i y; everything else is a ring operation.  Past step trunc the step
+    x^i is zero at this order, so every later e_i equals e_trunc and the
+    sweep stops there.
     """
     trunc = start.trunc
-    z = _z(trunc)
     prev2, prev = before, start
     yield prev2
     yield prev
     for i in range(1, trunc + 1):
         step = monomial(i, 1, 0, 1, trunc)
-        prev2, prev = prev, prev + step * (z * (prev2 - prev) - prev)
+        prev2, prev = prev, prev + step * (_times_z(prev2 - prev) - prev)
         yield prev
+
+
+def _times_z(d: TriSeries) -> TriSeries:
+    """z d with z = -1/(1-x), as a negated running sum along x: the
+    coefficient of x^a y^b q^s is minus the sum of d's coefficients of
+    x^a' y^b q^s over a' <= a, for every a up to d's order.
+
+    It reads d's stored terms directly; the sums that cancel to 0 are not
+    stored.
+    """
+    trunc = d.trunc
+    columns: dict[tuple[int, int], dict[int, int]] = {}
+    for (a, b, s), c in d._terms.items():
+        columns.setdefault((b, s), {})[a] = c
+    out: dict[tuple[int, int, int], int] = {}
+    for (b, s), column in columns.items():
+        run = 0
+        get = column.get
+        for a in range(min(column), trunc + 1):
+            run -= get(a, 0)
+            if run:
+                out[a, b, s] = run
+    return _from_ring(trunc, out)
 
 
 def _entry(sweep: Iterator[TriSeries], index: int) -> TriSeries:
@@ -309,20 +386,20 @@ def _entry(sweep: Iterator[TriSeries], index: int) -> TriSeries:
 
 def numerator_det(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     """det of the numerator matrix, via its last-row cofactor expansion:
-    top_block_det(m) + z q x^m y top_block_det(m-1)."""
+    top_block_det(m) + z q x^m y top_block_det(m-1), the product by z taken
+    as the running sum ``_times_z``."""
     _check_size("m", m)
-    z = _z(trunc)
     marker = monomial(m, 1, 1, 1, trunc)  # q x^m y
-    return top_block_det(m, trunc) + z * marker * top_block_det(m - 1, trunc)
+    return top_block_det(m, trunc) + _times_z(marker * top_block_det(m - 1, trunc))
 
 
 def denominator_det(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     """det of the system matrix, via its last-row cofactor expansion:
-    inner_block_det(m-1) + z q x^m y inner_block_det(m-2)."""
+    inner_block_det(m-1) + z q x^m y inner_block_det(m-2), the product by z
+    taken as the running sum ``_times_z``."""
     _check_size("m", m)
-    z = _z(trunc)
     marker = monomial(m, 1, 1, 1, trunc)
-    return inner_block_det(m - 1, trunc) + z * marker * inner_block_det(m - 2, trunc)
+    return inner_block_det(m - 1, trunc) + _times_z(marker * inner_block_det(m - 2, trunc))
 
 
 def _check_mode(mode: str) -> None:

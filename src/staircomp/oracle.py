@@ -37,7 +37,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator
 
 from .series import _check_size
@@ -50,16 +49,50 @@ class EnumerationLimitError(RuntimeError):
     """Exhaustive enumeration was requested beyond the configured cap."""
 
 
-@dataclass(frozen=True, slots=True)
-class Composition:
+class _Record:
+    """Fields named by ``__match_args__`` that cannot be reassigned, with a
+    field-by-field ``==``, ``hash``, ``repr`` and pickle: the frozen record
+    a dataclass would give, without importing ``dataclasses``.  A record is
+    hashable when its fields are."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Composition(_Record):
     """An ordered sequence of positive integer parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = __match_args__ = ("parts",)
 
-    def __post_init__(self):
-        for p in self.parts:
+    def __init__(self, parts: tuple[int, ...]):
+        for p in parts:
             if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def weight(self) -> int:
@@ -72,15 +105,18 @@ class Composition:
         return iter(self.parts)
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(_Record):
     """Exact staircase counts for one total a: (parts, occurrences) -> count.
 
-    Absent keys mean zero.  The counts over all keys sum to 2^(a-1).
+    Absent keys mean zero.  The counts over all keys sum to 2^(a-1).  Its
+    counts are a dict, so a histogram is not hashable.
     """
 
-    a: int
-    counts: dict[tuple[int, int], int]
+    __slots__ = __match_args__ = ("a", "counts")
+
+    def __init__(self, a: int, counts: dict[tuple[int, int], int]):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "counts", counts)
 
     def count(self, b: int, s: int) -> int:
         return self.counts.get((b, s), 0)

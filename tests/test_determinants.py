@@ -241,6 +241,44 @@ def test_sweep_step_is_the_printed_step(seeds):
     )
 
 
+@given(st.integers(1, 12).flatmap(seed_series))
+def test_running_sum_is_the_product_by_z(d):
+    product = determinants._times_z(d)
+    assert product == determinants._z(d.trunc) * d
+    assert all(c for _key, c in product.terms())
+
+
+def test_running_sum_stores_no_cancelled_term():
+    # z (1 - x) = -1: every running sum past x^0 cancels.
+    x, _, _ = variables(5)
+    assert dict(determinants._times_z(one(5) - x).terms()) == {(0, 0, 0): -1}
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 7, 20])
+def test_closed_blocks_equal_the_cleared_division(trunc):
+    # The cleared polynomials over powers of 1 - x: the closed forms'
+    # earlier route, by long division instead of binomial columns.
+    x, _, _ = variables(trunc)
+    for k in range(trunc + 4):
+        cleared = determinants._cleared_top_sum(k, trunc)
+        assert top_block_det(k, trunc) == cleared.divide((one(trunc) - x) ** max(0, k - 1)), k
+    for k in range(-1, trunc + 4):
+        body = determinants._cleared_closing(k + 1, determinants._cleared_top_sum(k + 1, trunc))
+        assert inner_block_det(k, trunc) == body.divide((one(trunc) - x) ** (k + 1)), k
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_cofactor_expansions_equal_their_printed_products(m):
+    # The product by z taken as the general product, as printed.
+    for trunc in ORDERS:
+        z = determinants._z(trunc)
+        marker = monomial(m, 1, 1, 1, trunc)
+        top = top_block_det(m, trunc) + z * marker * top_block_det(m - 1, trunc)
+        inner = inner_block_det(m - 1, trunc) + z * marker * inner_block_det(m - 2, trunc)
+        assert numerator_det(m, trunc) == top
+        assert denominator_det(m, trunc) == inner
+
+
 def test_mode_name_is_validated():
     with pytest.raises(ValueError):
         top_block_det(2, N, "fast")

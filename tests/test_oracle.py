@@ -1,6 +1,8 @@
 """Brute-force enumeration: known values and counting invariants."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -155,6 +157,42 @@ def test_enumerated_compositions_equal_publicly_built_ones():
             assert c.weight == n and len(c) == len(public) and tuple(c) == c.parts
             with pytest.raises(AttributeError):
                 c.parts = (n,)
+
+
+def test_records_compare_show_and_pickle_by_value():
+    c = Composition((2, 1))
+    h = oracle.Histogram(3, {(1, 0): 1})
+    assert repr(c) == "Composition(parts=(2, 1))"
+    assert repr(h) == "Histogram(a=3, counts={(1, 0): 1})"
+    assert Composition(parts=(2, 1)) == c != Composition((1, 2))
+    assert c != (2, 1) and c.__eq__((2, 1)) is NotImplemented
+    assert h == oracle.Histogram(a=3, counts={(1, 0): 1}) != oracle.Histogram(3, {})
+    assert hash(c) == hash(((2, 1),))
+    with pytest.raises(TypeError, match="^unhashable type: 'dict'$"):
+        hash(h)
+    for record, field in ((c, "parts"), (h, "a"), (h, "counts")):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+            delattr(record, field)
+        with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
+            record.extra = 1
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+
+
+def test_importing_the_package_and_cli_leaves_out_dataclasses():
+    # -S: no site hook may import it first.  dataclasses pulls in inspect,
+    # ast, dis and tokenize, several milliseconds of every start-up.
+    src = str(Path(oracle.__file__).parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import staircomp, staircomp.cli\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "False\n"
 
 
 def test_the_ith_composition_is_the_ith_numeral():
