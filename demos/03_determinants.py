@@ -46,7 +46,7 @@ print()
 print("Cramer's rule at m = 2: numerator/denominator determinants")
 num = numerator_det(2, ORDER)
 den = denominator_det(2, ORDER)
-ratio = num * den.inverse()
+ratio = num.divide(den)
 print(f"  numerator   = {num.truncated(4)}")
 print(f"  denominator = {den.truncated(4)}")
 print(f"  ratio equals the master series: {ratio == staircase_gf(2, ORDER)}")

@@ -30,20 +30,20 @@ seeds (0, 1), the inner blocks d_k = e_k from (1, 1);
 ``verify.check_block_dets`` reads every block size of a family from one
 sweep.
 
-The closed forms are sums of signed, shifted powers x^e u^j of
-u = y/(1-x), and the coefficient of x^a y^j in u^j is C(a+j-1, j-1), so
-each power is one binomial column and no block needs a division
-(``_closed_block``).  The top block of size m is k_m; since
-(1-x-xy)/(1-x) = 1 - x u, the inner block of size m - 1 is
-x^C(m+1,2) u^m + k_m - x u k_m, the same powers again, shifted by x u
-with their signs flipped.  The cofactor expansions in ``numerator_det``
-and ``denominator_det`` take their product by z as the same running sum.
+The closed forms are lists of signed, shifted powers c x^e u^j q^s of
+u = y/(1-x), and one helper writes any such list as a series
+(``_sum_of_powers``): each power is one binomial column, so no block
+needs a division.  The top block of size m is k_m (``_top_powers``);
+since (1-x-xy)/(1-x) = 1 - x u, the inner block of size m - 1 is
+x^C(m+1,2) u^m + (1 - x u) k_m (``_closing``), the same powers again,
+shifted by x u with their signs flipped, and one lead power.
+``genfun.staircase_gf`` builds the master series' numerator and
+denominator from the same lists, evaluated with m factors 1 - x
+cleared.  The cofactor expansions in ``numerator_det`` and
+``denominator_det`` take their product by z as the same running sum.
 The recurrences and ``det_division_free`` (ring operations only, with
 general products by z) are the independent routes the closed forms are
-checked against.  ``genfun.staircase_gf`` builds the master series from
-the cleared polynomials U~_m = k_m (1-x)^(m-1) (``_cleared_top_sum``) and
-x^C(m+1,2) y^m + (1-x-xy) U~_m (``_cleared_closing``), the inner block of
-size m - 1 times (1-x)^m.
+checked against.
 """
 
 from __future__ import annotations
@@ -59,9 +59,11 @@ from .series import (
     _from_ring,
     monomial,
     one,
-    variables,
     zero,
 )
+
+_Power = tuple[int, int, int, int]
+"""(c, e, j, s): the term c x^e u^j q^s of a closed form, u = y/(1-x)."""
 
 DET_DIM_LIMIT = 8
 """Default cap for direct determinant expansion (cost grows with 2^dim)."""
@@ -232,15 +234,15 @@ def top_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") -> T
     recurrence:  d_k = (1 - x^(k-1) y (1+z)) d_{k-1} + x^(k-1) y z d_{k-2}
                  from d_0 = 0 and d_1 = 1, with z = -1/(1-x).
 
-    The closed form is summed term by term from the binomial columns of
-    u^j = (y/(1-x))^j (``_closed_block``).  The size-0 value is 0, the
-    seed the recurrence needs.  The recurrence reads entry k of the
-    ``_recurrence`` sweep, or its last entry.
+    The closed form is the power list k_k (``_top_powers``), summed by
+    ``_sum_of_powers`` from the binomial columns of u^j = (y/(1-x))^j.
+    The size-0 value is 0, the seed the recurrence needs.  The recurrence
+    reads entry k of the ``_recurrence`` sweep, or its last entry.
     """
     _check_size("k", k, least=0)
     _check_mode(mode)
     if mode == "closed":
-        return _closed_block(k, trunc, closing=False)
+        return _sum_of_powers(trunc, _top_powers(k, trunc))
     return _entry(_recurrence(zero(trunc), one(trunc)), k)
 
 
@@ -254,83 +256,60 @@ def inner_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") ->
 
     The closed form is x^C(k+2,2) u^(k+1) + psi * top_block_det(k+1) with
     u = y/(1-x) and psi = (1-x-xy)/(1-x) = 1 - x u, so it is the top
-    block's sum of powers of u, that sum again shifted by x u with its
-    sign flipped, and one lead power (``_closed_block``).  The recurrence
+    block's powers of u, the same powers shifted by x u with their signs
+    flipped, and one lead power (``_closing``).  The recurrence
     reads entry k + 1 of the ``_recurrence`` sweep, or its last entry.
     """
     _check_size("k", k, least=-1)
     _check_mode(mode)
     if mode == "closed":
-        return _closed_block(k + 1, trunc, closing=True)
+        return _sum_of_powers(trunc, _closing(_top_powers(k + 1, trunc), k + 1))
     return _entry(_recurrence(one(trunc), one(trunc)), k + 1)
 
 
-def _closed_block(m: int, trunc: int, closing: bool) -> TriSeries:
+def _top_powers(m: int, trunc: int) -> list[_Power]:
     """k_m = sum_{j<m} x^(mj - C(j,2)) u^j with u = y/(1-x), the top block
-    of size m; with ``closing``, x^C(m+1,2) u^m + (1 - x u) k_m, the inner
-    block of size m - 1.
+    of size m, as (coeff, e, j, s) powers for ``_sum_of_powers``.
 
-    Each power of k_m has x-degree mj - C(j,2) >= j, so no j above
-    ``trunc`` keeps a term and the sum stops at min(m, trunc + 1): a
-    huge m costs no more than m = trunc + 1.
+    Each power has x-degree mj - C(j,2) >= j, so no j above ``trunc``
+    keeps a term and the list stops at min(m, trunc + 1): a huge m costs
+    no more than m = trunc + 1.
     """
-    _check_size("trunc", trunc)
-    powers = [(1, m * j - comb(j, 2), j) for j in range(min(m, trunc + 1))]
-    if closing:
-        powers += [(-sign, e + 1, j + 1) for sign, e, j in powers]
-        powers.append((1, comb(m + 1, 2), m))
-    return _sum_of_powers(trunc, powers)
+    _check_size("trunc", trunc)  # before range() sees a float
+    return [(1, m * j - comb(j, 2), j, 0) for j in range(min(m, trunc + 1))]
 
 
-def _sum_of_powers(trunc: int, powers: Iterable[tuple[int, int, int]]) -> TriSeries:
-    """sum of sign * x^e u^j over (sign, e, j) in ``powers``, u = y/(1-x).
+def _closing(powers: list[_Power], m: int) -> list[_Power]:
+    """x^C(m+1,2) u^m + (1 - x u) body, with body given as ``powers``; for
+    body = k_m this is the inner block of size m - 1."""
+    shifted = [(-c, e + 1, j + 1, s) for c, e, j, s in powers]
+    return [*powers, *shifted, (1, comb(m + 1, 2), m, 0)]
 
-    u^0 = 1, and for j >= 1 the coefficient of x^a y^j in u^j is
-    C(a+j-1, j-1), so each power is one binomial column written from
-    x-degree e up to ``trunc``; a power with e > trunc has no term.
-    Coefficients that cancel are dropped.
+
+def _sum_of_powers(trunc: int, powers: Iterable[_Power], cleared: int = 0) -> TriSeries:
+    """sum of c x^e y^j q^s (1-x)^(-r), r = j - cleared, over (c, e, j, s)
+    in ``powers``: with ``cleared`` = 0 these are the powers c x^e u^j q^s
+    of u = y/(1-x), and with ``cleared`` = M the same sum times (1-x)^M.
+
+    The coefficients of (1-x)^(-r) satisfy c_{t+1} = c_t (t + r)/(t + 1)
+    from c_0 = 1, an exact division for every integer r, so each power is
+    one binomial column written from x-degree e up to ``trunc``.  For
+    r <= 0 the column is a polynomial and stops after 1 - r terms; a
+    power with e > trunc has no term.  Coefficients that cancel are
+    dropped.
     """
     acc: dict[tuple[int, int, int], int] = {}
     get = acc.get
-    for sign, e, j in powers:
-        if e > trunc:
-            continue
-        if not j:
-            acc[e, 0, 0] = get((e, 0, 0), 0) + sign
-            continue
-        c = sign
-        for a in range(trunc - e + 1):
-            key = (e + a, j, 0)
+    for c, e, j, s in powers:
+        r = j - cleared
+        stop = trunc - e + 1
+        if r <= 0 and stop > 1 - r:
+            stop = 1 - r
+        for t in range(stop):
+            key = (e + t, j, s)
             acc[key] = get(key, 0) + c
-            c = c * (a + j) // (a + 1)
+            c = c * (t + r) // (t + 1)
     return _from_ring(trunc, {key: c for key, c in acc.items() if c})
-
-
-def _cleared_top_sum(k: int, trunc: int) -> TriSeries:
-    """U~_k = sum_{j<k} x^(kj - C(j,2)) y^j (1-x)^(k-1-j), the top block
-    of size k times (1-x)^(k-1); a polynomial, and 0 for k = 0.
-
-    Each term's x-degree kj - C(j,2) + t is at least j + t, so no j or t
-    above ``trunc`` keeps a term and both loops stop there.
-    """
-    return TriSeries(
-        trunc,
-        {
-            (k * j - comb(j, 2) + t, j, 0): (-1) ** t * comb(k - 1 - j, t)
-            for j in range(min(k, trunc + 1))
-            for t in range(min(k - j, trunc + 1))
-        },
-    )
-
-
-def _cleared_closing(m: int, body: TriSeries) -> TriSeries:
-    """x^C(m+1,2) y^m + (1-x-xy) body.
-
-    With body = U~_m this is the inner block of size m - 1 times (1-x)^m.
-    """
-    trunc = body.trunc
-    x, y, _q = variables(trunc)
-    return monomial(comb(m + 1, 2), m, 0, 1, trunc) + (one(trunc) - x - x * y) * body
 
 
 def _recurrence(before: TriSeries, start: TriSeries) -> Iterator[TriSeries]:

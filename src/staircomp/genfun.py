@@ -12,8 +12,9 @@ from math import comb
 
 from .determinants import (
     _check_dim,
-    _cleared_closing,
-    _cleared_top_sum,
+    _closing,
+    _sum_of_powers,
+    _top_powers,
     build_system,
     denominator_det,
     det_division_free,
@@ -39,19 +40,21 @@ def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
         N = k_m - q x^m u k_{m-1},
         D = (1-q) x^C(m+1,2) u^m + ((1-x-xy)/(1-x)) N.
 
-    It is evaluated as one division of cleared polynomials: with the top
-    blocks cleared to U~_k = k_k (1-x)^(k-1) (``_cleared_top_sum``),
-    N~ = U~_m - q x^m y U~_{m-1} = N (1-x)^(m-1) and
-    D~ = x^C(m+1,2) y^m + (1-x-xy) N~ - q x^C(m+1,2) y^m = D (1-x)^m
-    (``_cleared_closing`` builds the first two terms), so the series is
-    (1-x) N~ / D~.  The x^0 slice of D~ is exactly 1.
+    Every piece is a list of signed, shifted powers c x^e u^j q^s: k_m
+    and k_{m-1} are ``determinants._top_powers``, N is k_m plus
+    k_{m-1} shifted by q x^m u with its sign flipped, and D is
+    ``determinants._closing`` of N (x^C(m+1,2) u^m + (1 - x u) N) plus
+    -q x^C(m+1,2) u^m.  Each power has j <= m, so the one column helper
+    ``determinants._sum_of_powers`` writes both lists times (1-x)^m as
+    polynomials, and the series is one division of N (1-x)^m by
+    D (1-x)^m.  The x^0 slice of the cleared D is exactly 1.
 
     The division runs in x and y alone, with q carried inside the
     coefficients (Kronecker substitution).  Every coefficient c(a, b, s)
     counts compositions of a with b parts, so 0 <= c <= C(a-1, b-1) <
     2^trunc for a <= trunc (and c = 1 at a = 0).  Substituting q := Q =
-    2^trunc, a ring homomorphism that keeps the x^0 slice of D~ at 1,
-    therefore makes the quotient's coefficient of x^a y^b the number
+    2^trunc, a ring homomorphism that keeps the x^0 slice of the cleared
+    D at 1, therefore makes the quotient's coefficient of x^a y^b the number
     sum_s c(a, b, s) Q^s, whose base-Q digits are exactly the c(a, b, s):
     no digit reaches Q, so none carries into the next.  Reading the digits
     back gives F.
@@ -143,13 +146,13 @@ def total_staircases(n: int, num_parts: int, m: int) -> int:
 
 
 def _cleared_fraction(m: int, trunc: int) -> tuple[TriSeries, TriSeries]:
-    """The polynomials ((1-x) N~, D~) whose quotient is the master series
-    (see ``staircase_gf``)."""
-    x = monomial(1, 0, 0, 1, trunc)
-    marker = monomial(m, 1, 1, 1, trunc)  # q x^m y
-    numer = _cleared_top_sum(m, trunc) - marker * _cleared_top_sum(m - 1, trunc)
-    den = _cleared_closing(m, numer) - monomial(comb(m + 1, 2), m, 1, 1, trunc)
-    return (one(trunc) - x) * numer, den
+    """The polynomials (N (1-x)^m, D (1-x)^m) whose quotient is the master
+    series (see ``staircase_gf``)."""
+    numer = _top_powers(m, trunc) + [
+        (-c, e + m, j + 1, s + 1) for c, e, j, s in _top_powers(m - 1, trunc)
+    ]
+    den = _closing(numer, m) + [(-1, comb(m + 1, 2), m, 1)]
+    return _sum_of_powers(trunc, numer, m), _sum_of_powers(trunc, den, m)
 
 
 def _validate(m: int, trunc: int) -> None:

@@ -4,8 +4,9 @@
 gate calls the same functions at its own sizes, so the two cannot drift
 apart.  Each check takes the window length ``m``, the largest enumerated
 total ``max_n``, the series truncation order ``trunc`` and the
-enumeration cap ``cap``, ignoring the ones it does not need.  It builds
-the two maps it compares and returns ``_first_diff`` of them: None when
+enumeration cap ``cap``, ignoring the ones it does not need.  It takes
+the two maps it compares, a series' stored term map as it is or a map
+it builds, and returns ``_first_diff`` of them: None when
 they agree, else their first difference in one format,
 ``(<name>=<v>, ...): <got> <g> vs <want> <w>`` at the smallest differing
 key.  The block check prefixes it with ``<family> block size <k> ``.
@@ -46,7 +47,7 @@ _TERM_KEY = ("a", "b", "s")
 def check_gf_vs_oracle(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
     """Closed-form master series at order max_n against enumeration,
     totals 1..max_n."""
-    series = {key: c for key, c in genfun.staircase_gf(m, max_n).terms() if key[0]}
+    series = {key: c for key, c in genfun.staircase_gf(m, max_n)._terms.items() if key[0]}
     census = {
         (a, b, s): c
         for a in range(1, max_n + 1)
@@ -57,8 +58,8 @@ def check_gf_vs_oracle(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
 
 def check_cramer(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
     """Cramer route against the closed form at order trunc."""
-    closed = dict(genfun.staircase_gf(m, trunc).terms())
-    cramer = dict(genfun.staircase_gf_cramer(m, trunc).terms())
+    closed = genfun.staircase_gf(m, trunc)._terms
+    cramer = genfun.staircase_gf_cramer(m, trunc)._terms
     return _first_diff(_TERM_KEY, closed, "closed", cramer, "Cramer")
 
 
@@ -84,10 +85,8 @@ def check_block_dets(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
         recurrence = None
         for k in range(first, last + 1):
             recurrence = next(sweep, recurrence)
-            closed = dict(block_det(k, trunc, "closed").terms())
-            problem = _first_diff(
-                _TERM_KEY, closed, "closed", dict(recurrence.terms()), "recurrence"
-            )
+            closed = block_det(k, trunc, "closed")._terms
+            problem = _first_diff(_TERM_KEY, closed, "closed", recurrence._terms, "recurrence")
             if problem:
                 return f"{family} block size {k} {problem}"
     return None
@@ -105,7 +104,7 @@ def check_totals(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
 def check_marginals(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
     """The q = 1 marginal against C(a-1, b-1) for every a <= trunc; its
     constant term is 1, and it has no other term."""
-    marginal = dict(genfun.gf_at_q1(m, trunc).terms())
+    marginal = genfun.gf_at_q1(m, trunc)._terms
     binomial = {
         (a, b, 0): comb(a - 1, b - 1) for a in range(1, trunc + 1) for b in range(1, a + 1)
     }
@@ -126,7 +125,7 @@ CHECKS = (
 def _first_diff(names, got, got_name, want, want_name):
     """None when the maps agree, else their values at the smallest key
     where they differ (an absent key reads 0), described with the key's
-    components named by ``names``."""
+    components named by ``names``.  It only reads the maps."""
     if got == want:
         return None
     key = min(k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0))

@@ -254,17 +254,56 @@ def test_running_sum_stores_no_cancelled_term():
     assert dict(determinants._times_z(one(5) - x).terms()) == {(0, 0, 0): -1}
 
 
+def _cleared_top_sum(k, trunc):
+    """U~_k = sum_{j<k} x^(kj - C(j,2)) y^j (1-x)^(k-1-j), the top block
+    of size k times (1-x)^(k-1), built by ring operations."""
+    x, y, _ = variables(trunc)
+    acc = zero(trunc)
+    for j in range(k):
+        term = monomial(k * j - comb(j, 2), 0, 0, 1, trunc) * y ** j
+        acc = acc + term * (one(trunc) - x) ** (k - 1 - j)
+    return acc
+
+
 @pytest.mark.parametrize("trunc", [1, 2, 7, 20])
 def test_closed_blocks_equal_the_cleared_division(trunc):
-    # The cleared polynomials over powers of 1 - x: the closed forms'
-    # earlier route, by long division instead of binomial columns.
-    x, _, _ = variables(trunc)
+    # The cleared polynomials, built by ring operations, over powers of
+    # 1 - x: a route to the closed forms by long division instead of
+    # binomial columns.
+    x, y, _ = variables(trunc)
     for k in range(trunc + 4):
-        cleared = determinants._cleared_top_sum(k, trunc)
+        cleared = _cleared_top_sum(k, trunc)
         assert top_block_det(k, trunc) == cleared.divide((one(trunc) - x) ** max(0, k - 1)), k
     for k in range(-1, trunc + 4):
-        body = determinants._cleared_closing(k + 1, determinants._cleared_top_sum(k + 1, trunc))
+        lead = monomial(comb(k + 2, 2), 0, 0, 1, trunc) * y ** (k + 1)
+        body = lead + (one(trunc) - x - x * y) * _cleared_top_sum(k + 1, trunc)
         assert inner_block_det(k, trunc) == body.divide((one(trunc) - x) ** (k + 1)), k
+
+
+@st.composite
+def power_lists(draw):
+    """(trunc, powers, cleared): r = j - cleared falls below, at and above
+    0 for a small ``cleared``, and far below 0 for the huge one."""
+    trunc = draw(st.integers(1, 10))
+    cleared = draw(st.one_of(st.integers(0, 5), st.just(10**9)))
+    power = st.tuples(
+        st.integers(-9, 9), st.integers(0, trunc + 2), st.integers(0, 8), st.integers(0, 3)
+    )
+    return trunc, draw(st.lists(power, max_size=6)), cleared
+
+
+@given(power_lists())
+def test_sum_of_powers_is_the_ring_sum(case):
+    # sum of c x^e y^j q^s (1-x)^cleared / (1-x)^j, by ring operations.
+    trunc, powers, cleared = case
+    x, _, _ = variables(trunc)
+    factor = (one(trunc) - x) ** cleared
+    want = zero(trunc)
+    for c, e, j, s in powers:
+        want = want + monomial(e, j, s, c, trunc) * factor * ((one(trunc) - x) ** j).inverse()
+    got = determinants._sum_of_powers(trunc, powers, cleared)
+    assert got == want
+    assert all(c for _key, c in got.terms())
 
 
 @pytest.mark.parametrize("m", range(1, 9))

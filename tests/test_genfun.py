@@ -60,6 +60,17 @@ def test_packed_quotient_for_windows_longer_than_the_order(m, trunc):
     assert all(s == 0 for (_a, _b, s), _c in gf.terms())
 
 
+@pytest.mark.parametrize("trunc", [1, 2, 12, 30])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_cleared_fraction_is_cramers_rule_times_the_cleared_factor(m, trunc):
+    # Each side of the fraction is its Cramer determinant times (1-x)^m,
+    # not only their quotient.
+    x, _, _ = variables(trunc)
+    num, den = genfun._cleared_fraction(m, trunc)
+    assert num.divide((one(trunc) - x) ** m) == determinants.numerator_det(m, trunc)
+    assert den.divide((one(trunc) - x) ** m) == determinants.denominator_det(m, trunc)
+
+
 @given(st.integers(1, 12), st.integers(1, 30))
 @settings(max_examples=40, deadline=None)
 def test_packed_quotient_property(m, trunc):
