@@ -37,10 +37,12 @@ needs a division.  The top block of size m is k_m (``_top_powers``);
 since (1-x-xy)/(1-x) = 1 - x u, the inner block of size m - 1 is
 x^C(m+1,2) u^m + (1 - x u) k_m (``_closing``), the same powers again,
 shifted by x u with their signs flipped, and one lead power.
-``genfun.staircase_gf`` builds the master series' numerator and
-denominator from the same lists, evaluated with m factors 1 - x
-cleared.  The cofactor expansions in ``numerator_det`` and
-``denominator_det`` take their product by z as the same running sum.
+``genfun.staircase_gf`` builds the master series' numerator
+N = 1 - (q-1)(k_m - 1) from k_m's list alone, with the powers j >= 1
+marked by q and negated, and its denominator as ``_closing`` of N, both
+evaluated with m factors 1 - x cleared.  The cofactor expansions in
+``numerator_det`` and ``denominator_det`` take their product by z as the
+same running sum.
 The recurrences and ``det_division_free`` (ring operations only, with
 general products by z) are the independent routes the closed forms are
 checked against.
@@ -109,6 +111,8 @@ class SeriesMatrix:
         )
 
     def with_column(self, col: int, column: Sequence[TriSeries]) -> "SeriesMatrix":
+        if col not in range(self.dim):
+            raise IndexError(f"column {col} is outside 0..{self.dim - 1}")
         if len(column) != self.dim:
             raise ValueError("replacement column has the wrong length")
         return SeriesMatrix(
@@ -190,6 +194,8 @@ def det_division_free(matrix: SeriesMatrix) -> TriSeries:
     O(2^dim * dim) series multiplications; a dimension above
     ``DET_DIM_LIMIT`` raises DeterminantLimitError.
     """
+    if not isinstance(matrix, SeriesMatrix):
+        raise TypeError(f"expected a SeriesMatrix, got {type(matrix).__name__}")
     n = matrix.dim
     _check_dim(n)
     unit = one(matrix.trunc)

@@ -35,19 +35,38 @@ def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     """Master series for window length m, as one long division.
 
     The paper writes the series as N / D with k_m = top_block_det(m),
-    u = y/(1-x) and
+    u = y/(1-x), A = x^C(m+1,2) u^m and
 
-        N = k_m - q x^m u k_{m-1},
-        D = (1-q) x^C(m+1,2) u^m + ((1-x-xy)/(1-x)) N.
+        N = k_m - q x^m u k_{m-1},   D = (1-q) A + (1 - x u) N.
+
+    Term j of x^m u k_{m-1} is x^(m + (m-1)j - C(j,2)) u^(j+1), and
+    m + (m-1)j - C(j,2) = m(j+1) - C(j+1,2) is the exponent of term j+1
+    of k_m, so x^m u k_{m-1} = k_m - 1.  With w = q - 1 and K = k_m - 1
+    the fraction is therefore
+
+        F = N / ((1 - x u) N - w A),   N = 1 - w K.
+
+    This is the Goulden-Jackson cluster form (Goulden & Jackson, "An
+    inversion theorem for cluster decompositions of sequences with
+    distinguished subsequences", J. London Math. Soc., 1979; Noonan &
+    Zeilberger, "The Goulden-Jackson cluster method: extensions,
+    applications and implementations", J. Difference Eq. Appl., 1999).
+    A window is m consecutive parts, the j-th at least j; 1/(1 - x u)
+    counts every composition; a cluster is a chain of marked windows, each overlapping
+    the one before.  The first window weighs w A; a further window that
+    overlaps the previous one by m - g parts adds g parts, at least
+    m-g+1, ..., m, and weighs w x^(mg - C(g,2)) u^g, one term of w K
+    for g = 1..m-1.  So the clusters sum to w A / N, and
+    F = 1 / (1 - x u - w A / N).
 
     Every piece is a list of signed, shifted powers c x^e u^j q^s: k_m
-    and k_{m-1} are ``determinants._top_powers``, N is k_m plus
-    k_{m-1} shifted by q x^m u with its sign flipped, and D is
-    ``determinants._closing`` of N (x^C(m+1,2) u^m + (1 - x u) N) plus
-    -q x^C(m+1,2) u^m.  Each power has j <= m, so the one column helper
-    ``determinants._sum_of_powers`` writes both lists times (1-x)^m as
-    polynomials, and the series is one division of N (1-x)^m by
-    D (1-x)^m.  The x^0 slice of the cleared D is exactly 1.
+    is ``determinants._top_powers``, N is k_m plus its powers with
+    j >= 1 marked by q and their signs flipped (k_m - q K = 1 - w K), and
+    the denominator is ``determinants._closing`` of N
+    (A + (1 - x u) N) plus -q A.  Each power has j <= m, so the one
+    column helper ``determinants._sum_of_powers`` writes both lists
+    times (1-x)^m as polynomials, and the series is one division of
+    N (1-x)^m by D (1-x)^m.  The x^0 slice of the cleared D is exactly 1.
 
     The division runs in x and y alone, with q carried inside the
     coefficients (Kronecker substitution).  Every coefficient c(a, b, s)
@@ -148,9 +167,8 @@ def total_staircases(n: int, num_parts: int, m: int) -> int:
 def _cleared_fraction(m: int, trunc: int) -> tuple[TriSeries, TriSeries]:
     """The polynomials (N (1-x)^m, D (1-x)^m) whose quotient is the master
     series (see ``staircase_gf``)."""
-    numer = _top_powers(m, trunc) + [
-        (-c, e + m, j + 1, s + 1) for c, e, j, s in _top_powers(m - 1, trunc)
-    ]
+    k = _top_powers(m, trunc)
+    numer = k + [(-c, e, j, s + 1) for c, e, j, s in k if j]
     den = _closing(numer, m) + [(-1, comb(m + 1, 2), m, 1)]
     return _sum_of_powers(trunc, numer, m), _sum_of_powers(trunc, den, m)
 

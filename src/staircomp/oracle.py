@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .series import _check_size
 
@@ -88,11 +88,11 @@ class Composition(_Record):
 
     __slots__ = __match_args__ = ("parts",)
 
-    def __init__(self, parts: tuple[int, ...]):
-        for p in parts:
+    def __init__(self, parts: Iterable[int]):
+        object.__setattr__(self, "parts", tuple(parts))
+        for p in self.parts:
             if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
-        object.__setattr__(self, "parts", parts)
 
     @property
     def weight(self) -> int:
@@ -280,7 +280,7 @@ def compositions(n: int, cap: int = MAX_ENUM_N) -> Iterator[Composition]:
     if n == 0:
         return iter((Composition(()),))
     # After the leading 1, each run of 0s is one part minus one.
-    return (Composition(tuple(len(run) + 1 for run in bin(v)[3:].split("1")))
+    return (Composition(len(run) + 1 for run in bin(v)[3:].split("1"))
             for v in range(1 << (n - 1), 1 << n))
 
 
@@ -293,7 +293,7 @@ def count_staircases(composition, m: int) -> int:
     """
     _check_size("m", m)
     if not isinstance(composition, Composition):
-        composition = Composition(tuple(composition))
+        composition = Composition(composition)
     # A window compares parts with 1..m only and needs m parts, so capping
     # each part at m letters and m at one more than the parts changes no count.
     m = min(m, len(composition) + 1)

@@ -109,6 +109,20 @@ def test_replacement_column_must_match_the_dimension(length):
         matrix.with_column(0, [one(4)] * length)
 
 
+@pytest.mark.parametrize("col", [-1, 3, 5, 0.5])
+def test_replacement_column_must_be_inside_the_matrix(col):
+    matrix, rhs = build_system(2, 3)
+    with pytest.raises(IndexError, match=f"^column {col} is outside 0..2$"):
+        matrix.with_column(col, rhs)
+
+
+@pytest.mark.parametrize("matrix", [[[one(3)]], ((one(3),),), one(3), None],
+                         ids=["list", "tuple", "series", "none"])
+def test_division_free_det_needs_a_series_matrix(matrix):
+    with pytest.raises(TypeError, match="^expected a SeriesMatrix, got "):
+        det_division_free(matrix)
+
+
 @pytest.mark.parametrize(
     "rows",
     [[[1]], [[one(4), 0], [one(4), one(4)]], [[one(4), one(4)], [one(4), None]]],

@@ -64,11 +64,20 @@ def test_packed_quotient_for_windows_longer_than_the_order(m, trunc):
 @pytest.mark.parametrize("m", range(1, 9))
 def test_cleared_fraction_is_cramers_rule_times_the_cleared_factor(m, trunc):
     # Each side of the fraction is its Cramer determinant times (1-x)^m,
-    # not only their quotient.
-    x, _, _ = variables(trunc)
-    num, den = genfun._cleared_fraction(m, trunc)
-    assert num.divide((one(trunc) - x) ** m) == determinants.numerator_det(m, trunc)
-    assert den.divide((one(trunc) - x) ** m) == determinants.denominator_det(m, trunc)
+    # not only their quotient, and in cluster form N = 1 - (q-1)(k_m - 1)
+    # and D = (1-q) inner_block_det(m-1) + q (1 - x u), u = y/(1-x).
+    x, y, q = variables(trunc)
+    c = (one(trunc) - x) ** m
+    u = y * (one(trunc) - x).inverse()
+    num, den = (side.divide(c) for side in genfun._cleared_fraction(m, trunc))
+    assert num == determinants.numerator_det(m, trunc)
+    assert den == determinants.denominator_det(m, trunc)
+    k = determinants.top_block_det(m, trunc) - one(trunc)
+    assert num == one(trunc) - (q - one(trunc)) * k
+    assert den == (
+        (one(trunc) - q) * determinants.inner_block_det(m - 1, trunc)
+        + q * (one(trunc) - x * u)
+    )
 
 
 @given(st.integers(1, 12), st.integers(1, 30))

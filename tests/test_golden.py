@@ -14,7 +14,10 @@ Larger outputs are pinned by their SHA-256 digests in ``DIGESTS``, at
 order 60, where a coefficient of the master series spans up to 60 bits.
 They were recorded from the long division in x, y and q that
 ``staircase_gf`` used before it carried q inside big-int coefficients,
-so they check the packed route against the route it replaced.
+so they check the packed route against the route it replaced.  The
+``gf`` digests at m = 3 and m = 8 were recorded from the packed route
+while it still built the numerator from k_m and k_{m-1}, so they check
+the cluster-form numerator, built from k_m alone, against it.
 """
 
 from __future__ import annotations
@@ -66,8 +69,12 @@ DIGESTS = {
         "44a6ec8280a0e4a96adaebad8869e58c085bea6d44757283f557844fbf6732a8",
     ("series-dump", "--m", "2", "--trunc", "60", "--kind", "gf"):
         "18cd4765f9082057d0988820765554f406a1680f9c7bcb792609ef57e468483e",
+    ("series-dump", "--m", "3", "--trunc", "60", "--kind", "gf"):
+        "d653e83a4cc3e69becf6d314caae65df9d52f066cac46f9f8aba835831dc0ec9",
     ("series-dump", "--m", "5", "--trunc", "60", "--kind", "gf"):
         "27af29c38a5c7470bbd8e0dbfe67953f95ad4761daee54c5ba117e32afbd677f",
+    ("series-dump", "--m", "8", "--trunc", "60", "--kind", "gf"):
+        "e357163cbb6018d64afa799715b094705c2d0d8cacf61c2c780f9c287f78df8a",
 }
 
 

@@ -165,6 +165,9 @@ def test_records_compare_show_and_pickle_by_value():
     assert repr(c) == "Composition(parts=(2, 1))"
     assert repr(h) == "Histogram(a=3, counts={(1, 0): 1})"
     assert Composition(parts=(2, 1)) == c != Composition((1, 2))
+    for parts in ([2, 1], iter((2, 1))):
+        stored = Composition(parts)
+        assert stored == c and hash(stored) == hash(c) and stored.parts == (2, 1)
     assert c != (2, 1) and c.__eq__((2, 1)) is NotImplemented
     assert h == oracle.Histogram(a=3, counts={(1, 0): 1}) != oracle.Histogram(3, {})
     assert hash(c) == hash(((2, 1),))
