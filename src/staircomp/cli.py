@@ -222,17 +222,18 @@ def _render_series(obj: dict) -> str:
 def _render_rows(rows, header, fmt):
     """Rows of ints as json (the last column as a decimal string), csv or
     aligned text.  json is ``json.dumps(..., indent=2)`` of one dict per
-    row and csv is what the ``csv`` module writes, byte for byte."""
+    row and csv is what the ``csv`` module writes, byte for byte.  A json
+    or csv row is one call of a format bound once per table."""
     if fmt == "json":
         if not rows:
             return "[]\n"
         fields = [f'    "{name}": {{}}' for name in header[:-1]]
         fields.append(f'    "{header[-1]}": "{{}}"')
-        record = "  {{\n" + ",\n".join(fields) + "\n  }}"
-        return "[\n" + ",\n".join(record.format(*row) for row in rows) + "\n]\n"
+        record = ("  {{\n" + ",\n".join(fields) + "\n  }}").format
+        return "[\n" + ",\n".join([record(*row) for row in rows]) + "\n]\n"
     if fmt == "csv":
-        lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
-        return "\n".join(lines) + "\n"
+        line = (",".join(["{}"] * len(header)) + "\n").format
+        return ",".join(header) + "\n" + "".join([line(*row) for row in rows])
     widths = [
         max(len(name), *(len(str(row[i])) for row in rows)) if rows else len(name)
         for i, name in enumerate(header)

@@ -31,18 +31,20 @@ seeds (0, 1), the inner blocks d_k = e_k from (1, 1);
 sweep.
 
 The closed forms are lists of signed, shifted powers c x^e u^j q^s of
-u = y/(1-x), and one helper writes any such list as a series
-(``_sum_of_powers``): each power is one binomial column, so no block
-needs a division.  The top block of size m is k_m (``_top_powers``);
-since (1-x-xy)/(1-x) = 1 - x u, the inner block of size m - 1 is
-x^C(m+1,2) u^m + (1 - x u) k_m (``_closing``), the same powers again,
-shifted by x u with their signs flipped, and one lead power.
-``genfun.staircase_gf`` builds the master series' numerator
-N = 1 - (q-1)(k_m - 1) from k_m's list alone, with the powers j >= 1
-marked by q and negated, and its denominator as ``_closing`` of N, both
-evaluated with m factors 1 - x cleared.  The cofactor expansions in
-``numerator_det`` and ``denominator_det`` take their product by z as the
-same running sum.
+u = y/(1-x), and one helper writes any such list in y
+(``_sum_of_powers``), one column of powers sharing (j, s) at a time: a
+column of few powers as one binomial run per power, a dense one as j
+running sums along x.  So no block needs a division.  The top block of
+size m is k_m (``_top_powers``); since (1-x-xy)/(1-x) = 1 - x u, the
+inner block of size m - 1 is x^C(m+1,2) u^m + (1 - x u) k_m
+(``_closing``), the same powers again, shifted by x u with their signs
+flipped, and one lead power.  ``genfun.staircase_gf`` builds the master
+series' numerator N = 1 - (q-1)(k_m - 1) from k_m's list alone, with the
+powers j >= 1 marked by q and negated, and its denominator as
+``_closing`` of N.  It divides the two in x and u, and the same helper
+writes the quotient, a dense list of powers, in y.  The cofactor
+expansions in ``numerator_det`` and ``denominator_det`` take their
+product by z as the same running sum.
 The recurrences and ``det_division_free`` (ring operations only, with
 general products by z) are the independent routes the closed forms are
 checked against.
@@ -50,7 +52,7 @@ checked against.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, islice
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -66,6 +68,12 @@ from .series import (
 
 _Power = tuple[int, int, int, int]
 """(c, e, j, s): the term c x^e u^j q^s of a closed form, u = y/(1-x)."""
+
+_DENSE = 4
+"""``_sum_of_powers`` writes a column of n powers of u^j by running sums
+when n * _DENSE > j, else by one binomial run per power.  A running-sum
+step is an addition, a binomial step a multiplication and a division, and
+in a measured sweep every value from 3 to 8 timed alike."""
 
 DET_DIM_LIMIT = 8
 """Default cap for direct determinant expansion (cost grows with 2^dim)."""
@@ -102,17 +110,22 @@ class SeriesMatrix:
         return self._rows[0][0].trunc
 
     def __getitem__(self, key: tuple[int, int]) -> TriSeries:
+        """The entry at (row, column); an index outside 0..dim-1, negative
+        ones included, raises IndexError."""
         i, j = key
-        return self._rows[i][j]
+        return self._rows[self._checked("row", i)][self._checked("column", j)]
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "SeriesMatrix":
+        """The minor on the given rows and columns, in the order given.  An
+        index outside 0..dim-1 raises IndexError and a repeated one
+        ValueError."""
+        rows, cols = self._distinct("row", rows), self._distinct("column", cols)
         return SeriesMatrix(
             [[self._rows[i][j] for j in cols] for i in rows]
         )
 
     def with_column(self, col: int, column: Sequence[TriSeries]) -> "SeriesMatrix":
-        if col not in range(self.dim):
-            raise IndexError(f"column {col} is outside 0..{self.dim - 1}")
+        self._checked("column", col)
         if len(column) != self.dim:
             raise ValueError("replacement column has the wrong length")
         return SeriesMatrix(
@@ -121,6 +134,19 @@ class SeriesMatrix:
                 for i in range(self.dim)
             ]
         )
+
+    def _checked(self, name: str, index: int) -> int:
+        if index not in range(self.dim):
+            raise IndexError(f"{name} {index} is outside 0..{self.dim - 1}")
+        return index
+
+    def _distinct(self, name: str, indices: Sequence[int]) -> list[int]:
+        seen: list[int] = []
+        for index in indices:
+            if self._checked(name, index) in seen:
+                raise ValueError(f"{name} {index} is repeated")
+            seen.append(index)
+        return seen
 
 
 def _z(trunc: int) -> TriSeries:
@@ -198,6 +224,7 @@ def det_division_free(matrix: SeriesMatrix) -> TriSeries:
         raise TypeError(f"expected a SeriesMatrix, got {type(matrix).__name__}")
     n = matrix.dim
     _check_dim(n)
+    rows = matrix._rows
     unit = one(matrix.trunc)
     empty = zero(matrix.trunc)
     memo: dict[int, TriSeries] = {0: unit}
@@ -213,7 +240,7 @@ def det_division_free(matrix: SeriesMatrix) -> TriSeries:
             bit = 1 << j
             if not cols & bit:
                 continue
-            entry = matrix[row, j]
+            entry = rows[row][j]
             if entry:
                 term = entry * expand(cols & ~bit)
                 acc = acc + term if sign > 0 else acc - term
@@ -292,30 +319,47 @@ def _closing(powers: list[_Power], m: int) -> list[_Power]:
     return [*powers, *shifted, (1, comb(m + 1, 2), m, 0)]
 
 
-def _sum_of_powers(trunc: int, powers: Iterable[_Power], cleared: int = 0) -> TriSeries:
-    """sum of c x^e y^j q^s (1-x)^(-r), r = j - cleared, over (c, e, j, s)
-    in ``powers``: with ``cleared`` = 0 these are the powers c x^e u^j q^s
-    of u = y/(1-x), and with ``cleared`` = M the same sum times (1-x)^M.
+def _sum_of_powers(trunc: int, powers: Iterable[_Power]) -> TriSeries:
+    """sum of c x^e u^j q^s over (c, e, j, s) in ``powers``, with
+    u = y/(1-x), written in y as c x^e y^j q^s (1-x)^(-j).
 
-    The coefficients of (1-x)^(-r) satisfy c_{t+1} = c_t (t + r)/(t + 1)
-    from c_0 = 1, an exact division for every integer r, so each power is
-    one binomial column written from x-degree e up to ``trunc``.  For
-    r <= 0 the column is a polynomial and stops after 1 - r terms; a
-    power with e > trunc has no term.  Coefficients that cancel are
-    dropped.
+    Powers that share (j, s) form one column, and each column is written
+    on its own: no two columns reach the same key.  A column of n powers
+    is written in one of two ways.
+    - One binomial run per power: the coefficients of (1-x)^(-j) satisfy
+      c_{t+1} = c_t (t + j)/(t + 1) from c_0 = 1, an exact division, so a
+      power is one run from x-degree e up to ``trunc``.  That is n runs of
+      multiplications and divisions.
+    - j running sums along x of the column's polynomial in x: each sum is
+      a product by 1/(1-x), additions alone.
+    The running sums cost less once n * ``_DENSE`` exceeds j, and always
+    at j = 0.  A power with e > trunc has no term, and coefficients that
+    cancel are dropped.
     """
-    acc: dict[tuple[int, int, int], int] = {}
-    get = acc.get
+    columns: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for c, e, j, s in powers:
-        r = j - cleared
-        stop = trunc - e + 1
-        if r <= 0 and stop > 1 - r:
-            stop = 1 - r
-        for t in range(stop):
-            key = (e + t, j, s)
-            acc[key] = get(key, 0) + c
-            c = c * (t + r) // (t + 1)
-    return _from_ring(trunc, {key: c for key, c in acc.items() if c})
+        if e <= trunc:
+            columns.setdefault((j, s), []).append((e, c))
+    out: dict[tuple[int, int, int], int] = {}
+    for (j, s), column in columns.items():
+        low = min(e for e, _c in column)
+        run = [0] * (trunc + 1 - low)
+        in_y: Iterable[int] = run
+        if len(column) * _DENSE > j:
+            for e, c in column:
+                run[e - low] += c
+            for _ in range(j):
+                in_y = accumulate(in_y)
+        else:
+            for e, c in column:
+                i = e - low
+                for t in range(trunc + 1 - e):
+                    run[i + t] += c
+                    c = c * (t + j) // (t + 1)
+        for a, c in enumerate(in_y, low):
+            if c:
+                out[a, j, s] = c
+    return _from_ring(trunc, out)
 
 
 def _recurrence(before: TriSeries, start: TriSeries) -> Iterator[TriSeries]:

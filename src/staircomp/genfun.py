@@ -11,6 +11,7 @@ from __future__ import annotations
 from math import comb
 
 from .determinants import (
+    _Power,
     _check_dim,
     _closing,
     _sum_of_powers,
@@ -24,6 +25,7 @@ from .series import (
     DEFAULT_TRUNC,
     TriSeries,
     _check_size,
+    _from_ring,
     _split_q_digits,
     monomial,
     one,
@@ -63,25 +65,34 @@ def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     is ``determinants._top_powers``, N is k_m plus its powers with
     j >= 1 marked by q and their signs flipped (k_m - q K = 1 - w K), and
     the denominator is ``determinants._closing`` of N
-    (A + (1 - x u) N) plus -q A.  Each power has j <= m, so the one
-    column helper ``determinants._sum_of_powers`` writes both lists
-    times (1-x)^m as polynomials, and the series is one division of
-    N (1-x)^m by D (1-x)^m.  The x^0 slice of the cleared D is exactly 1.
+    (A + (1 - x u) N) plus -q A.  ``_fraction_in_u`` holds both lists as
+    polynomials in x, u and q, with u in the y slot: each power has
+    u-degree at most its x-degree, as the ring asks of y, and D's x^0
+    slice is exactly 1.  The lead power A, and -q A too when m >= 2,
+    cancels against -x u times N's powers j = m - 1, so once q := Q merges
+    the powers that differ only in q, D has at most 2m terms, and the
+    series is one long division G = N / D in x and u.  ``_in_y`` then
+    writes each power g x^e u^j of G in y as g x^e y^j (1-x)^-j, one
+    column of powers sharing j at a time (``determinants._sum_of_powers``).
+    A power x^e u^j written in y has x-degree at least e, so G to order
+    trunc gives F to order trunc.
 
-    The division runs in x and y alone, with q carried inside the
+    The division runs in x and u alone, with q carried inside the
     coefficients (Kronecker substitution).  Every coefficient c(a, b, s)
-    counts compositions of a with b parts, so 0 <= c <= C(a-1, b-1) <
-    2^trunc for a <= trunc (and c = 1 at a = 0).  Substituting q := Q =
-    2^trunc, a ring homomorphism that keeps the x^0 slice of the cleared
-    D at 1, therefore makes the quotient's coefficient of x^a y^b the number
-    sum_s c(a, b, s) Q^s, whose base-Q digits are exactly the c(a, b, s):
-    no digit reaches Q, so none carries into the next.  Reading the digits
-    back gives F.
+    of F counts compositions of a with b parts, so 0 <= c <= C(a-1, b-1)
+    < 2^trunc for a <= trunc (and c = 1 at a = 0).  Substituting q := Q =
+    2^trunc is a ring homomorphism that keeps D's x^0 slice at 1.  G's
+    coefficients are signed, but the change from u to y is Z-linear and
+    leaves q alone, so it commutes with q := Q: written in y, the packed
+    quotient is F at q := Q, whose coefficient of x^a y^b is the number
+    sum_s c(a, b, s) Q^s.  Its base-Q digits are exactly the c(a, b, s):
+    no digit reaches Q, so none carries into the next.  Reading the
+    digits back gives F.
     """
     _validate(m, trunc)
-    num, den = _cleared_fraction(m, trunc)
+    num, den = _fraction_in_u(m, trunc)
     base = 1 << trunc
-    return _split_q_digits(num.at_q(base).divide(den.at_q(base)), trunc)
+    return _split_q_digits(_in_y(num.at_q(base).divide(den.at_q(base))), trunc)
 
 
 def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False) -> TriSeries:
@@ -112,15 +123,17 @@ def gf_at_q1(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     compositions by weight and part count: the coefficient of x^a y^b is
     C(a-1, b-1) regardless of m.
 
-    q := 1 is substituted into the cleared numerator and denominator of
-    ``staircase_gf`` before dividing.  The substitution is a ring
-    homomorphism and the denominator's x^0 slice stays 1, so this is the
-    same series as ``staircase_gf(m, trunc).at_q1()``, found by a long
-    division in x and y alone.
+    q := 1 is substituted into the numerator and denominator of
+    ``staircase_gf``, polynomials in x and u = y/(1-x), before dividing.
+    The substitution is a ring homomorphism and the denominator's x^0
+    slice stays 1, so this is the same series as
+    ``staircase_gf(m, trunc).at_q1()``.  At q = 1, w = 0, so N = 1 and
+    D = 1 - x u: the quotient in x and u is the sum of (x u)^j, one power
+    per column, which ``_in_y`` writes in y.
     """
     _validate(m, trunc)
-    num, den = _cleared_fraction(m, trunc)
-    return num.at_q1().divide(den.at_q1())
+    num, den = _fraction_in_u(m, trunc)
+    return _in_y(num.at_q1().divide(den.at_q1()))
 
 
 def total_staircases_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
@@ -164,13 +177,30 @@ def total_staircases(n: int, num_parts: int, m: int) -> int:
     return (num_parts - m + 1) * comb(top, num_parts - 1)
 
 
-def _cleared_fraction(m: int, trunc: int) -> tuple[TriSeries, TriSeries]:
-    """The polynomials (N (1-x)^m, D (1-x)^m) whose quotient is the master
-    series (see ``staircase_gf``)."""
+def _fraction_in_u(m: int, trunc: int) -> tuple[TriSeries, TriSeries]:
+    """The polynomials N and D in x, u = y/(1-x) and q whose quotient is the
+    master series (see ``staircase_gf``), with u in the y slot."""
     k = _top_powers(m, trunc)
     numer = k + [(-c, e, j, s + 1) for c, e, j, s in k if j]
     den = _closing(numer, m) + [(-1, comb(m + 1, 2), m, 1)]
-    return _sum_of_powers(trunc, numer, m), _sum_of_powers(trunc, den, m)
+    return _polynomial(trunc, numer), _polynomial(trunc, den)
+
+
+def _polynomial(trunc: int, powers: list[_Power]) -> TriSeries:
+    """sum of c x^e u^j q^s over (c, e, j, s) in ``powers``, u kept in the y
+    slot: coincident powers summed, those with e > trunc and those that
+    cancel dropped."""
+    acc: dict[tuple[int, int, int], int] = {}
+    for c, e, j, s in powers:
+        if e <= trunc:
+            acc[e, j, s] = acc.get((e, j, s), 0) + c
+    return _from_ring(trunc, {key: c for key, c in acc.items() if c})
+
+
+def _in_y(series: TriSeries) -> TriSeries:
+    """A series in x and u = y/(1-x), u in the y slot, written in y."""
+    terms = series._terms.items()
+    return _sum_of_powers(series.trunc, ((c, e, j, s) for (e, j, s), c in terms))
 
 
 def _validate(m: int, trunc: int) -> None:

@@ -24,12 +24,13 @@ No states are merged: the histogram of n is a census of all 2^(n-1)
 words, and the per-composition pattern above is the independent second
 implementation the tests compare it against.
 
-Inside a ``shared_census()`` block each census of one (n, m) is built at
-most once and then read by every histogram and total that asks for it;
-``verify`` runs its checks in one block, so the histogram check and the
-totals check share one pass over each total.  The memo is dropped when
-the outermost block exits, so no census outlives the run, and outside
-any block every call enumerates afresh.
+Each census is summed once into its window totals by part count.  Inside
+a ``shared_census()`` block each census of one (n, m) and its totals are
+built at most once and then read by every histogram and total that asks
+for them; ``verify`` runs its checks in one block, so the histogram check
+and the totals check share one pass over each total.  The memo is
+dropped when the outermost block exits, so no census outlives the run,
+and outside any block every call enumerates afresh.
 """
 
 from __future__ import annotations
@@ -220,8 +221,9 @@ def _enumerate(n: int, m: int) -> Counter:
     return census
 
 
-_memo: dict[tuple[int, int], Counter] | None = None
-"""The censuses of the open ``shared_census()`` block, or None outside one."""
+_memo: dict[tuple[int, int], tuple[Counter, dict[int, int]]] | None = None
+"""The censuses of the open ``shared_census()`` block, each with its window
+totals by part count, or None outside one."""
 
 
 @contextmanager
@@ -242,19 +244,24 @@ def shared_census():
         _memo = None
 
 
-def _census(n: int, m: int) -> Counter:
-    """The census of n, read from the open block's memo if it is there.
-    A window needs m parts and a composition of n has at most n, so any
-    m > n runs as m = n + 1, which finds no window in a few levels.
-    Callers must not mutate the result: it may be shared."""
+def _census(n: int, m: int) -> tuple[Counter, dict[int, int]]:
+    """The census of n and its window totals {parts: total}, read from the
+    open block's memo if they are there.  A window needs m parts and a
+    composition of n has at most n, so any m > n runs as m = n + 1, which
+    finds no window in a few levels.  Callers must not mutate the result:
+    it may be shared."""
     key = n, min(m, n + 1)
     memo = _memo
-    if memo is None:
-        return _enumerate(*key)
-    census = memo.get(key)
-    if census is None:
-        census = memo[key] = _enumerate(*key)
-    return census
+    entry = None if memo is None else memo.get(key)
+    if entry is None:
+        census = _enumerate(*key)
+        totals: dict[int, int] = {}
+        for (b, s), c in census.items():
+            totals[b] = totals.get(b, 0) + s * c
+        entry = census, totals
+        if memo is not None:
+            memo[key] = entry
+    return entry
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -305,7 +312,7 @@ def staircase_histogram(a: int, m: int, cap: int = MAX_ENUM_N) -> Histogram:
     _check_size("a", a)
     _check_size("m", m)
     _check_cap(a, cap)
-    return Histogram(a, dict(_census(a, m)))
+    return Histogram(a, dict(_census(a, m)[0]))
 
 
 def total_staircases(n: int, num_parts: int, m: int, cap: int = MAX_ENUM_N) -> int:
@@ -314,4 +321,4 @@ def total_staircases(n: int, num_parts: int, m: int, cap: int = MAX_ENUM_N) -> i
     _check_size("num_parts", num_parts)
     _check_size("m", m)
     _check_cap(n, cap)
-    return sum(s * c for (b, s), c in _census(n, m).items() if b == num_parts)
+    return _census(n, m)[1].get(num_parts, 0)

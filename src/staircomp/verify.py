@@ -19,9 +19,10 @@ series-only checks (Cramer, block determinants, marginals) read
 ``trunc``.  So ``trunc`` may lie below ``max_n``.
 
 ``check_cramer`` compares two independent computations of the master
-series: ``genfun.staircase_gf`` divides in x and y alone, with q carried
-in the coefficients' base-2^trunc digits, while the Cramer route keeps
-the long division in x, y and q, of its own two determinants.
+series: ``genfun.staircase_gf`` divides in x and u = y/(1-x) alone, with
+q carried in the coefficients' base-2^trunc digits, and writes the
+quotient in y one column at a time, while the Cramer route keeps the
+long division in x, y and q, of its own two determinants.
 
 ``check_gf_vs_oracle`` reads each census once anyway.  ``check_totals``
 reads each one once per part count, so it alone opens

@@ -4,7 +4,7 @@ import re
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staircomp import determinants
@@ -100,6 +100,34 @@ def test_matrix_validation():
         SeriesMatrix([[one(4), one(4)]])
     with pytest.raises(ValueError):
         SeriesMatrix([[one(4), one(5)], [one(4), one(4)]])
+
+
+@pytest.mark.parametrize("key, name, index", [
+    ((-1, -1), "row", -1), ((0, -1), "column", -1), ((3, 0), "row", 3), ((0, 3), "column", 3),
+])
+def test_entries_outside_the_matrix_are_refused(key, name, index):
+    matrix, _ = build_system(2, 3)
+    with pytest.raises(IndexError, match=f"^{name} {index} is outside 0..2$"):
+        matrix[key]
+
+
+@pytest.mark.parametrize("rows, cols, name, index", [
+    ([-1], [-1], "row", -1), ([0], [-1], "column", -1), ([0, 3], [0, 1], "row", 3),
+    ([0], [5], "column", 5),
+])
+def test_minors_outside_the_matrix_are_refused(rows, cols, name, index):
+    matrix, _ = build_system(2, 3)
+    with pytest.raises(IndexError, match=f"^{name} {index} is outside 0..2$"):
+        matrix.submatrix(rows, cols)
+
+
+@pytest.mark.parametrize("rows, cols, name, index", [
+    ([0, 0], [1, 2], "row", 0), ([0, 1], [1, 1], "column", 1), ([2, 1, 2], [0, 1, 2], "row", 2),
+])
+def test_minors_with_a_repeated_index_are_refused(rows, cols, name, index):
+    matrix, _ = build_system(2, 3)
+    with pytest.raises(ValueError, match=f"^{name} {index} is repeated$"):
+        matrix.submatrix(rows, cols)
 
 
 @pytest.mark.parametrize("length", [1, 3])
@@ -296,26 +324,31 @@ def test_closed_blocks_equal_the_cleared_division(trunc):
 
 @st.composite
 def power_lists(draw):
-    """(trunc, powers, cleared): r = j - cleared falls below, at and above
-    0 for a small ``cleared``, and far below 0 for the huge one."""
-    trunc = draw(st.integers(1, 10))
-    cleared = draw(st.one_of(st.integers(0, 5), st.just(10**9)))
-    power = st.tuples(
-        st.integers(-9, 9), st.integers(0, trunc + 2), st.integers(0, 8), st.integers(0, 3)
-    )
-    return trunc, draw(st.lists(power, max_size=6)), cleared
+    """(trunc, powers): up to three crowded columns, each of many powers
+    sharing one (j, s), written by running sums, and lone powers with j up
+    to 12, written by binomial runs once j is large enough."""
+    trunc = draw(st.integers(1, 14))
+    coeff, degree = st.integers(-9, 9), st.integers(0, trunc + 2)
+    powers = []
+    for _ in range(draw(st.integers(0, 3))):
+        j, s = draw(st.integers(0, 12)), draw(st.integers(0, 3))
+        column = draw(st.lists(st.tuples(coeff, degree), min_size=4, max_size=12))
+        powers += [(c, e, j, s) for c, e in column]
+    lone = st.tuples(coeff, degree, st.integers(0, 12), st.integers(0, 3))
+    powers += draw(st.lists(lone, max_size=6))
+    return trunc, draw(st.permutations(powers))
 
 
 @given(power_lists())
+@settings(max_examples=200)
 def test_sum_of_powers_is_the_ring_sum(case):
-    # sum of c x^e y^j q^s (1-x)^cleared / (1-x)^j, by ring operations.
-    trunc, powers, cleared = case
+    # sum of c x^e y^j q^s / (1-x)^j, by ring operations.
+    trunc, powers = case
     x, _, _ = variables(trunc)
-    factor = (one(trunc) - x) ** cleared
     want = zero(trunc)
     for c, e, j, s in powers:
-        want = want + monomial(e, j, s, c, trunc) * factor * ((one(trunc) - x) ** j).inverse()
-    got = determinants._sum_of_powers(trunc, powers, cleared)
+        want = want + monomial(e, j, s, c, trunc) * ((one(trunc) - x) ** j).inverse()
+    got = determinants._sum_of_powers(trunc, powers)
     assert got == want
     assert all(c for _key, c in got.terms())
 

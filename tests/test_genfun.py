@@ -39,10 +39,21 @@ def test_unit_pattern_coefficients_are_binomial_on_the_diagonal():
 
 
 def _three_variable_quotient(m, trunc):
-    """The master series as one long division in x, y and q: the route
-    ``staircase_gf`` took before it carried q inside the coefficients."""
-    num, den = genfun._cleared_fraction(m, trunc)
-    return num.divide(den)
+    """The master series as one long division in x, y and q of the paper's
+    fraction with m factors 1 - x cleared, each side built by ring
+    operations: a route independent of the packing and of the column
+    helper.  With w = q - 1, P = N (1-x)^(m-1) is a polynomial, and
+
+        F = (1-x) P / ((1 - x - x y) P - w x^C(m+1,2) y^m).
+    """
+    x, y, q = variables(trunc)
+    w = q - one(trunc)
+    c = one(trunc) - x
+    body = c ** (m - 1)
+    for j in range(1, min(m, trunc + 1)):
+        body = body - w * monomial(m * j - comb(j, 2), j, 0, 1, trunc) * c ** (m - 1 - j)
+    lead = w * monomial(comb(m + 1, 2), m, 0, 1, trunc)
+    return (c * body).divide((c - x * y) * body - lead)
 
 
 @pytest.mark.parametrize("trunc", [1, 2, 3, 7, 12, 40, 60])
@@ -63,13 +74,15 @@ def test_packed_quotient_for_windows_longer_than_the_order(m, trunc):
 @pytest.mark.parametrize("trunc", [1, 2, 12, 30])
 @pytest.mark.parametrize("m", range(1, 9))
 def test_cleared_fraction_is_cramers_rule_times_the_cleared_factor(m, trunc):
-    # Each side of the fraction is its Cramer determinant times (1-x)^m,
-    # not only their quotient, and in cluster form N = 1 - (q-1)(k_m - 1)
-    # and D = (1-q) inner_block_det(m-1) + q (1 - x u), u = y/(1-x).
+    # Each side of the fraction in x and u = y/(1-x), written in y, is its
+    # Cramer determinant, not only their quotient, and in cluster form
+    # N = 1 - (q-1)(k_m - 1) and D = (1-q) inner_block_det(m-1) + q (1 - x u).
+    # At q := 2^trunc the divisor has at most 2m terms.
     x, y, q = variables(trunc)
-    c = (one(trunc) - x) ** m
     u = y * (one(trunc) - x).inverse()
-    num, den = (side.divide(c) for side in genfun._cleared_fraction(m, trunc))
+    num, den = genfun._fraction_in_u(m, trunc)
+    assert len(den.at_q(1 << trunc)._terms) <= 2 * m
+    num, den = genfun._in_y(num), genfun._in_y(den)
     assert num == determinants.numerator_det(m, trunc)
     assert den == determinants.denominator_det(m, trunc)
     k = determinants.top_block_det(m, trunc) - one(trunc)

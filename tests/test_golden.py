@@ -17,7 +17,11 @@ They were recorded from the long division in x, y and q that
 so they check the packed route against the route it replaced.  The
 ``gf`` digests at m = 3 and m = 8 were recorded from the packed route
 while it still built the numerator from k_m and k_{m-1}, so they check
-the cluster-form numerator, built from k_m alone, against it.
+the cluster-form numerator, built from k_m alone, against it.  The ``gf``
+digests at m = 10 and at order 100, and the json table at m = 7, were
+recorded while the master series was still divided in x and y with
+m factors 1 - x cleared, so they check the division in x and u = y/(1-x)
+and the column-by-column change to y against it.
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ DIGESTS = {
         "6d7fd4b23da295876703b20ac3e963cda9ec26582bed6c160484f1fd8af35a3c",
     ("table", "--m", "8", "--max-n", "60", "--format", "csv"):
         "dcd2aae1f323739e422c7d1e387ce0ec9af1148e4a67564474edac9dc3e430c5",
+    ("table", "--m", "7", "--max-n", "60", "--format", "json"):
+        "03891b21e29c34727b6640331070bc2836f17aabdcb092282335ba1c1157485b",
     ("series-dump", "--m", "1", "--trunc", "60", "--kind", "gf"):
         "44a6ec8280a0e4a96adaebad8869e58c085bea6d44757283f557844fbf6732a8",
     ("series-dump", "--m", "2", "--trunc", "60", "--kind", "gf"):
@@ -75,6 +81,12 @@ DIGESTS = {
         "27af29c38a5c7470bbd8e0dbfe67953f95ad4761daee54c5ba117e32afbd677f",
     ("series-dump", "--m", "8", "--trunc", "60", "--kind", "gf"):
         "e357163cbb6018d64afa799715b094705c2d0d8cacf61c2c780f9c287f78df8a",
+    ("series-dump", "--m", "10", "--trunc", "60", "--kind", "gf"):
+        "1448332c4ceac1a634eedd623ee0dbdfe91fff7ae9ac1614038278a3ca5cb560",
+    ("series-dump", "--m", "2", "--trunc", "100", "--kind", "gf"):
+        "17e567490a3acd89714ea3f95c6820806a775f78a9fe57c00e5268366966a19f",
+    ("series-dump", "--m", "12", "--trunc", "100", "--kind", "gf"):
+        "d2a6545aa60d57def79a5d19f1e806066c7b7b546bf08caff2d1365b499239c5",
 }
 
 
