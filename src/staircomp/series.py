@@ -43,12 +43,18 @@ or an x-degree beyond ``trunc``.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Mapping, Union
 
 DEFAULT_TRUNC = 20
 
 Key = tuple[int, int, int]
 TermsLike = Union[Mapping[Key, int], None]
+
+_BY_KEY = itemgetter(0)
+"""Sort key for ``_terms.items()``: the exponent triple alone.  Keys are
+unique, so the order is the same as sorting the (key, coefficient) pairs,
+but the comparisons are between int triples, not between pairs."""
 
 
 class NonUnitError(ArithmeticError):
@@ -103,7 +109,7 @@ class TriSeries:
 
     def terms(self) -> Iterator[tuple[Key, int]]:
         """Nonzero terms in lexicographic (x, y, q) order."""
-        return iter(sorted(self._terms.items()))
+        return iter(sorted(self._terms.items(), key=_BY_KEY))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -298,7 +304,7 @@ class TriSeries:
             "trunc": self.trunc,
             "terms": [
                 {"a": a, "b": b, "s": s, "c": str(c)}
-                for (a, b, s), c in sorted(self._terms.items())
+                for (a, b, s), c in sorted(self._terms.items(), key=_BY_KEY)
             ],
         }
 
@@ -324,7 +330,7 @@ class TriSeries:
         if not self._terms:
             return "0"
         out = []
-        for key, c in sorted(self._terms.items()):
+        for key, c in sorted(self._terms.items(), key=_BY_KEY):
             out.append(_format_term(key, c, first=not out))
         return "".join(out)
 

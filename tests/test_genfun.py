@@ -159,6 +159,23 @@ def test_totals_series_known_coefficient():
     assert genfun.total_staircases_gf(2, 8).coeff(4, 2, 0) == 2
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_totals_series_is_the_corollary(m):
+    gf = genfun.total_staircases_gf(m, 60)
+    want = {
+        (n, parts, 0): genfun.total_staircases(n, parts, m)
+        for n in range(1, 61)
+        for parts in range(1, n + 1)
+    }
+    assert dict(gf.terms()) == {key: c for key, c in want.items() if c}
+
+
+def test_totals_series_for_windows_longer_than_the_order():
+    gf = genfun.total_staircases_gf(10**9, 300)
+    assert gf.trunc == 300
+    assert not gf
+
+
 def test_totals_series_needs_enough_parts():
     gf = genfun.total_staircases_gf(3, 12)
     for n in range(1, 13):

@@ -21,7 +21,11 @@ the cluster-form numerator, built from k_m alone, against it.  The ``gf``
 digests at m = 10 and at order 100, and the json table at m = 7, were
 recorded while the master series was still divided in x and y with
 m factors 1 - x cleared, so they check the division in x and u = y/(1-x)
-and the column-by-column change to y against it.
+and the column-by-column change to y against it.  The ``total-gf``
+digests at m = 1, 5 and 8 were recorded while the totals series still
+inverted (1-x)^(m-2) (1-x-xy)^2 in x and y, so they check its quotient
+in x and u, written in y, against that route; the ``gf-q1`` digest at
+m = 4 was recorded at the same time.
 """
 
 from __future__ import annotations
@@ -87,6 +91,14 @@ DIGESTS = {
         "17e567490a3acd89714ea3f95c6820806a775f78a9fe57c00e5268366966a19f",
     ("series-dump", "--m", "12", "--trunc", "100", "--kind", "gf"):
         "d2a6545aa60d57def79a5d19f1e806066c7b7b546bf08caff2d1365b499239c5",
+    ("series-dump", "--m", "4", "--trunc", "60", "--kind", "gf-q1"):
+        "ff2627a1472644182995ab21bd0cb45878e5d0b13533d0935ed0f0b1b79aab72",
+    ("series-dump", "--m", "1", "--trunc", "40", "--kind", "total-gf"):
+        "e32e7a711bd80ace93b581e1db21c648836e8a0679e3880aa7cb830896420601",
+    ("series-dump", "--m", "5", "--trunc", "60", "--kind", "total-gf"):
+        "2af5a9b5d98a9a66d5c5ecb0d1377cc66fa5e8a9efe0c97a153e9e4ccd06cda3",
+    ("series-dump", "--m", "8", "--trunc", "50", "--kind", "total-gf"):
+        "56eb4468618c17aec8a7cc1794f75a60400eea10c275faa6b5c0f2107b973b97",
 }
 
 

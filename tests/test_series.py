@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from staircomp import determinants
 from staircomp.series import (
     NonUnitError,
     TriSeries,
+    _format_term,
     _split_q_digits,
     monomial,
     one,
@@ -415,6 +417,40 @@ def test_str_rendering():
     x, y, q = variables(N)
     assert str(zero(N)) == "0"
     assert str(one(N) - 2 * x * y + q ** 2) == "1 + q^2 - 2*x*y"
+
+
+def _assert_output_sorted_by_key(f):
+    # terms(), to_json_obj() and str() all list the terms in (x, y, q)
+    # order, whatever the order of the stored dict.
+    ordered = sorted(f._terms.items())
+    assert list(f.terms()) == ordered
+    assert [((t["a"], t["b"], t["s"]), int(t["c"])) for t in f.to_json_obj()["terms"]] == ordered
+    rendered = "".join(_format_term(key, c, first=not i) for i, (key, c) in enumerate(ordered))
+    assert str(f) == (rendered or "0")
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, N), st.integers(0, 3), st.integers(0, 3)),
+        st.integers(-9, 9).filter(bool),
+        max_size=20,
+    ).flatmap(lambda terms: st.permutations(list(terms.items())))
+)
+def test_output_of_a_shuffled_mapping_is_sorted_by_key(items):
+    _assert_output_sorted_by_key(TriSeries(N, dict(items)))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-9, 9), st.integers(0, N), st.integers(0, 6), st.integers(0, 3)
+        ),
+        max_size=12,
+    )
+)
+def test_output_of_a_sum_of_powers_is_sorted_by_key(powers):
+    # _sum_of_powers stores its terms column by column, u-degree major.
+    _assert_output_sorted_by_key(determinants._sum_of_powers(N, powers))
 
 
 @given(sparse_series(), sparse_series(), sparse_series())
