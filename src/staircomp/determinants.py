@@ -30,21 +30,18 @@ seeds (0, 1), the inner blocks d_k = e_k from (1, 1);
 ``verify.check_block_dets`` reads every block size of a family from one
 sweep.
 
-The closed forms are lists of signed, shifted powers c x^e u^j q^s of
-u = y/(1-x), and one helper writes any such list in y
-(``_sum_of_powers``), one column of powers sharing (j, s) at a time: a
-column of few powers as one binomial run per power, a dense one as j
-running sums along x.  So no block needs a division.  The top block of
-size m is k_m (``_top_powers``); since (1-x-xy)/(1-x) = 1 - x u, the
-inner block of size m - 1 is x^C(m+1,2) u^m + (1 - x u) k_m
-(``_closing``), the same powers again, shifted by x u with their signs
-flipped, and one lead power.  ``genfun.staircase_gf`` builds the master
-series' numerator N = 1 - (q-1)(k_m - 1) from k_m's list alone, with the
-powers j >= 1 marked by q and negated, and its denominator as
-``_closing`` of N.  It divides the two in x and u, and the same helper
-writes the quotient, a dense list of powers, in y.  The cofactor
-expansions in ``numerator_det`` and ``denominator_det`` take their
-product by z as the same running sum.
+The closed forms are polynomials in x and u = y/(1-x), held as series
+with u in the y slot, and one helper writes any such series in y
+(``_in_y``), one column of terms sharing (j, s) at a time: a column of
+few terms as one binomial run per term, a dense one as j running sums
+along x.  So no block needs a division.  The top block of size m is k_m
+(``_top_in_u``); since (1-x-xy)/(1-x) = 1 - x u, the inner block of
+size m - 1 is x^C(m+1,2) u^m + (1 - x u) k_m (``_closing``): k_m's
+terms, the same terms shifted by x u with their signs flipped, and one
+lead term.  ``genfun`` builds the master series' fraction from the same
+three helpers.  The cofactor expansions in ``numerator_det``
+and ``denominator_det`` take their product by z as the same running
+sum.
 The recurrences and ``det_division_free`` (ring operations only, with
 general products by z) are the independent routes the closed forms are
 checked against.
@@ -66,14 +63,11 @@ from .series import (
     zero,
 )
 
-_Power = tuple[int, int, int, int]
-"""(c, e, j, s): the term c x^e u^j q^s of a closed form, u = y/(1-x)."""
-
 _DENSE = 4
-"""``_sum_of_powers`` writes a column of n powers of u^j by running sums
-when n * _DENSE > j, else by one binomial run per power.  A running-sum
-step is an addition, a binomial step a multiplication and a division, and
-in a measured sweep every value from 3 to 8 timed alike."""
+"""``_in_y`` writes a column of n terms in u^j by running sums when
+n * _DENSE > j, else by one binomial run per term.  A running-sum step is
+an addition, a binomial step a multiplication and a division, and in a
+measured sweep every value from 3 to 8 timed alike."""
 
 DET_DIM_LIMIT = 8
 """Default cap for direct determinant expansion (cost grows with 2^dim)."""
@@ -111,14 +105,15 @@ class SeriesMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> TriSeries:
         """The entry at (row, column); an index outside 0..dim-1, negative
-        ones included, raises IndexError."""
+        ones included, raises IndexError, and one that is not a plain int
+        TypeError."""
         i, j = key
         return self._rows[self._checked("row", i)][self._checked("column", j)]
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "SeriesMatrix":
         """The minor on the given rows and columns, in the order given.  An
-        index outside 0..dim-1 raises IndexError and a repeated one
-        ValueError."""
+        index outside 0..dim-1 raises IndexError, one that is not a plain
+        int TypeError, and a repeated one ValueError."""
         rows, cols = self._distinct("row", rows), self._distinct("column", cols)
         return SeriesMatrix(
             [[self._rows[i][j] for j in cols] for i in rows]
@@ -136,8 +131,13 @@ class SeriesMatrix:
         )
 
     def _checked(self, name: str, index: int) -> int:
+        """``index`` when it is a plain int in 0..dim-1.  A value outside
+        that range raises IndexError; one equal to an index in it but not a
+        plain int, such as True or 1.0, raises TypeError."""
         if index not in range(self.dim):
             raise IndexError(f"{name} {index} is outside 0..{self.dim - 1}")
+        if type(index) is not int:
+            raise TypeError(f"{name} must be an int, got {index!r}")
         return index
 
     def _distinct(self, name: str, indices: Sequence[int]) -> list[int]:
@@ -267,15 +267,15 @@ def top_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") -> T
     recurrence:  d_k = (1 - x^(k-1) y (1+z)) d_{k-1} + x^(k-1) y z d_{k-2}
                  from d_0 = 0 and d_1 = 1, with z = -1/(1-x).
 
-    The closed form is the power list k_k (``_top_powers``), summed by
-    ``_sum_of_powers`` from the binomial columns of u^j = (y/(1-x))^j.
+    The closed form is k_k as a polynomial in x and u = y/(1-x)
+    (``_top_in_u``), written in y by ``_in_y``.
     The size-0 value is 0, the seed the recurrence needs.  The recurrence
     reads entry k of the ``_recurrence`` sweep, or its last entry.
     """
     _check_size("k", k, least=0)
     _check_mode(mode)
     if mode == "closed":
-        return _sum_of_powers(trunc, _top_powers(k, trunc))
+        return _in_y(_top_in_u(k, trunc))
     return _entry(_recurrence(zero(trunc), one(trunc)), k)
 
 
@@ -288,58 +288,75 @@ def inner_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") ->
                  from d_{-1} = 1 and d_0 = 1.
 
     The closed form is x^C(k+2,2) u^(k+1) + psi * top_block_det(k+1) with
-    u = y/(1-x) and psi = (1-x-xy)/(1-x) = 1 - x u, so it is the top
-    block's powers of u, the same powers shifted by x u with their signs
-    flipped, and one lead power (``_closing``).  The recurrence
-    reads entry k + 1 of the ``_recurrence`` sweep, or its last entry.
+    u = y/(1-x) and psi = (1-x-xy)/(1-x) = 1 - x u, built in x and u
+    (``_closing``) and written in y by ``_in_y``.  The recurrence reads
+    entry k + 1 of the ``_recurrence`` sweep, or its last entry.
     """
     _check_size("k", k, least=-1)
     _check_mode(mode)
     if mode == "closed":
-        return _sum_of_powers(trunc, _closing(_top_powers(k + 1, trunc), k + 1))
+        return _in_y(_closing(_top_in_u(k + 1, trunc), k + 1))
     return _entry(_recurrence(one(trunc), one(trunc)), k + 1)
 
 
-def _top_powers(m: int, trunc: int) -> list[_Power]:
+def _top_in_u(m: int, trunc: int) -> TriSeries:
     """k_m = sum_{j<m} x^(mj - C(j,2)) u^j with u = y/(1-x), the top block
-    of size m, as (coeff, e, j, s) powers for ``_sum_of_powers``.
+    of size m, as a polynomial in x and u with u in the y slot.
 
-    Each power has x-degree mj - C(j,2) >= j, so no j above ``trunc``
-    keeps a term and the list stops at min(m, trunc + 1): a huge m costs
-    no more than m = trunc + 1.
+    The x-degree mj - C(j,2) grows with j, by m - j > 0 at each step, so
+    the sum stops at its first term above ``trunc``: a huge m costs no
+    more than m = trunc + 1.
     """
-    _check_size("trunc", trunc)  # before range() sees a float
-    return [(1, m * j - comb(j, 2), j, 0) for j in range(min(m, trunc + 1))]
+    _check_size("trunc", trunc)  # stored unchecked by _from_ring
+    terms = {}
+    for j in range(m):
+        e = m * j - comb(j, 2)
+        if e > trunc:
+            break
+        terms[e, j, 0] = 1
+    return _from_ring(trunc, terms)
 
 
-def _closing(powers: list[_Power], m: int) -> list[_Power]:
-    """x^C(m+1,2) u^m + (1 - x u) body, with body given as ``powers``; for
-    body = k_m this is the inner block of size m - 1."""
-    shifted = [(-c, e + 1, j + 1, s) for c, e, j, s in powers]
-    return [*powers, *shifted, (1, comb(m + 1, 2), m, 0)]
+def _closing(body: TriSeries, m: int) -> TriSeries:
+    """x^C(m+1,2) u^m + (1 - x u) body, for a polynomial ``body`` in x and
+    u with u in the y slot; for body = k_m this is the inner block of
+    size m - 1.  The terms are added into a copy of body's, not by ring
+    operations, which cost five times as much on small blocks.
+    """
+    trunc, lead = body.trunc, comb(m + 1, 2)
+    out = dict(body._terms)
+    added = [((e + 1, j + 1, s), -c) for (e, j, s), c in out.items() if e < trunc]
+    if lead <= trunc:
+        added.append(((lead, m, 0), 1))
+    for key, c in added:
+        c += out.get(key, 0)
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return _from_ring(trunc, out)
 
 
-def _sum_of_powers(trunc: int, powers: Iterable[_Power]) -> TriSeries:
-    """sum of c x^e u^j q^s over (c, e, j, s) in ``powers``, with
-    u = y/(1-x), written in y as c x^e y^j q^s (1-x)^(-j).
+def _in_y(series: TriSeries) -> TriSeries:
+    """A series in x and u = y/(1-x), u in the y slot, written in y: each
+    term c x^e u^j q^s becomes c x^e y^j q^s (1-x)^(-j).
 
-    Powers that share (j, s) form one column, and each column is written
-    on its own: no two columns reach the same key.  A column of n powers
+    Terms that share (j, s) form one column, and each column is written
+    on its own: no two columns reach the same key.  A column of n terms
     is written in one of two ways.
-    - One binomial run per power: the coefficients of (1-x)^(-j) satisfy
+    - One binomial run per term: the coefficients of (1-x)^(-j) satisfy
       c_{t+1} = c_t (t + j)/(t + 1) from c_0 = 1, an exact division, so a
-      power is one run from x-degree e up to ``trunc``.  That is n runs of
+      term is one run from x-degree e up to the order.  That is n runs of
       multiplications and divisions.
     - j running sums along x of the column's polynomial in x: each sum is
       a product by 1/(1-x), additions alone.
     The running sums cost less once n * ``_DENSE`` exceeds j, and always
-    at j = 0.  A power with e > trunc has no term, and coefficients that
-    cancel are dropped.
+    at j = 0.  Coefficients that cancel are dropped.
     """
+    trunc = series.trunc
     columns: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for c, e, j, s in powers:
-        if e <= trunc:
-            columns.setdefault((j, s), []).append((e, c))
+    for (e, j, s), c in series._terms.items():
+        columns.setdefault((j, s), []).append((e, c))
     out: dict[tuple[int, int, int], int] = {}
     for (j, s), column in columns.items():
         low = min(e for e, _c in column)

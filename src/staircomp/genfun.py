@@ -11,11 +11,10 @@ from __future__ import annotations
 from math import comb
 
 from .determinants import (
-    _Power,
     _check_dim,
     _closing,
-    _sum_of_powers,
-    _top_powers,
+    _in_y,
+    _top_in_u,
     build_system,
     denominator_det,
     det_division_free,
@@ -25,7 +24,6 @@ from .series import (
     DEFAULT_TRUNC,
     TriSeries,
     _check_size,
-    _from_ring,
     _split_q_digits,
     monomial,
     one,
@@ -61,20 +59,17 @@ def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     for g = 1..m-1.  So the clusters sum to w A / N, and
     F = 1 / (1 - x u - w A / N).
 
-    Every piece is a list of signed, shifted powers c x^e u^j q^s: k_m
-    is ``determinants._top_powers``, N is k_m plus its powers with
-    j >= 1 marked by q and their signs flipped (k_m - q K = 1 - w K), and
-    the denominator is ``determinants._closing`` of N
-    (A + (1 - x u) N) plus -q A.  ``_fraction_in_u`` holds both lists as
-    polynomials in x, u and q, with u in the y slot: each power has
-    u-degree at most its x-degree, as the ring asks of y, and D's x^0
-    slice is exactly 1.  The lead power A, and -q A too when m >= 2,
-    cancels against -x u times N's powers j = m - 1, so once q := Q merges
-    the powers that differ only in q, D has at most 2m terms, and the
-    series is one long division G = N / D in x and u.  ``_in_y`` then
-    writes each power g x^e u^j of G in y as g x^e y^j (1-x)^-j, one
-    column of powers sharing j at a time (``determinants._sum_of_powers``).
-    A power x^e u^j written in y has x-degree at least e, so G to order
+    Every piece is a polynomial in x, u and q, with u in the y slot: each
+    term has u-degree at most its x-degree, as the ring asks of y.  k_m is
+    ``determinants._top_in_u``, N = k_m - q (k_m - 1) = 1 - w K, and D is
+    ``determinants._closing`` of N, A + (1 - x u) N, minus q A
+    (``_fraction_in_u``).  D's x^0 slice is exactly 1.  Its term A, and
+    -q A too when m >= 2, cancels against -x u times N's terms in
+    u^(m-1), so once q := Q merges the terms that differ only in q, D has
+    at most 2m terms, and the series is one long division G = N / D in x
+    and u.  ``determinants._in_y`` then writes each term g x^e u^j of G in
+    y as g x^e y^j (1-x)^-j, one column of terms sharing j at a time.  A
+    term x^e u^j written in y has x-degree at least e, so G to order
     trunc gives F to order trunc.
 
     The division runs in x and u alone, with q carried inside the
@@ -128,7 +123,7 @@ def gf_at_q1(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     The substitution is a ring homomorphism and the denominator's x^0
     slice stays 1, so this is the same series as
     ``staircase_gf(m, trunc).at_q1()``.  At q = 1, w = 0, so N = 1 and
-    D = 1 - x u: the quotient in x and u is the sum of (x u)^j, one power
+    D = 1 - x u: the quotient in x and u is the sum of (x u)^j, one term
     per column, which ``_in_y`` writes in y.
     """
     _validate(m, trunc)
@@ -152,7 +147,7 @@ def total_staircases_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     the one-window sum of the cluster form (see ``staircase_gf``): a
     marked window, weighing x^C(m+1,2) u^m, with any composition on either
     side.  The divisor has three terms and the quotient trunc + 1, and the
-    lead power is a one-term shift, so no power of 1-x is ever built;
+    lead term is a one-term shift, so no power of 1-x is ever built;
     ``_in_y`` writes the result in y, one column of powers of u at a time.
     The divisor is squared with ``** 2`` and inverted with ``inverse()``,
     not expanded to 1 - 2 x u + x^2 u^2 for one ``divide``, because the
@@ -191,27 +186,9 @@ def total_staircases(n: int, num_parts: int, m: int) -> int:
 def _fraction_in_u(m: int, trunc: int) -> tuple[TriSeries, TriSeries]:
     """The polynomials N and D in x, u = y/(1-x) and q whose quotient is the
     master series (see ``staircase_gf``), with u in the y slot."""
-    k = _top_powers(m, trunc)
-    numer = k + [(-c, e, j, s + 1) for c, e, j, s in k if j]
-    den = _closing(numer, m) + [(-1, comb(m + 1, 2), m, 1)]
-    return _polynomial(trunc, numer), _polynomial(trunc, den)
-
-
-def _polynomial(trunc: int, powers: list[_Power]) -> TriSeries:
-    """sum of c x^e u^j q^s over (c, e, j, s) in ``powers``, u kept in the y
-    slot: coincident powers summed, those with e > trunc and those that
-    cancel dropped."""
-    acc: dict[tuple[int, int, int], int] = {}
-    for c, e, j, s in powers:
-        if e <= trunc:
-            acc[e, j, s] = acc.get((e, j, s), 0) + c
-    return _from_ring(trunc, {key: c for key, c in acc.items() if c})
-
-
-def _in_y(series: TriSeries) -> TriSeries:
-    """A series in x and u = y/(1-x), u in the y slot, written in y."""
-    terms = series._terms.items()
-    return _sum_of_powers(series.trunc, ((c, e, j, s) for (e, j, s), c in terms))
+    k = _top_in_u(m, trunc)
+    numer = k - monomial(0, 0, 1, 1, trunc) * (k - 1)
+    return numer, _closing(numer, m) - monomial(comb(m + 1, 2), m, 1, 1, trunc)
 
 
 def _validate(m: int, trunc: int) -> None:

@@ -111,6 +111,16 @@ def test_entries_outside_the_matrix_are_refused(key, name, index):
         matrix[key]
 
 
+@pytest.mark.parametrize("key, name, index", [
+    ((True, True), "row", True), ((0, False), "column", False), ((1.0, 0), "row", 1.0),
+    ((0, 2.0), "column", 2.0),
+])
+def test_entries_at_indices_other_than_ints_are_refused(key, name, index):
+    matrix, _ = build_system(2, 3)
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {index!r}$"):
+        matrix[key]
+
+
 @pytest.mark.parametrize("rows, cols, name, index", [
     ([-1], [-1], "row", -1), ([0], [-1], "column", -1), ([0, 3], [0, 1], "row", 3),
     ([0], [5], "column", 5),
@@ -118,6 +128,16 @@ def test_entries_outside_the_matrix_are_refused(key, name, index):
 def test_minors_outside_the_matrix_are_refused(rows, cols, name, index):
     matrix, _ = build_system(2, 3)
     with pytest.raises(IndexError, match=f"^{name} {index} is outside 0..2$"):
+        matrix.submatrix(rows, cols)
+
+
+@pytest.mark.parametrize("rows, cols, name, index", [
+    ([True], [False], "row", True), ([0], [False], "column", False), ([0, 1.0], [0, 1], "row", 1.0),
+    ([0, 1], [2, 0.0], "column", 0.0),
+])
+def test_minors_at_indices_other_than_ints_are_refused(rows, cols, name, index):
+    matrix, _ = build_system(2, 3)
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {index!r}$"):
         matrix.submatrix(rows, cols)
 
 
@@ -141,6 +161,13 @@ def test_replacement_column_must_match_the_dimension(length):
 def test_replacement_column_must_be_inside_the_matrix(col):
     matrix, rhs = build_system(2, 3)
     with pytest.raises(IndexError, match=f"^column {col} is outside 0..2$"):
+        matrix.with_column(col, rhs)
+
+
+@pytest.mark.parametrize("col", [True, False, 1.0])
+def test_replacement_column_must_be_an_int(col):
+    matrix, rhs = build_system(2, 3)
+    with pytest.raises(TypeError, match=f"^column must be an int, got {col!r}$"):
         matrix.with_column(col, rhs)
 
 
@@ -323,34 +350,55 @@ def test_closed_blocks_equal_the_cleared_division(trunc):
 
 
 @st.composite
-def power_lists(draw):
-    """(trunc, powers): up to three crowded columns, each of many powers
-    sharing one (j, s), written by running sums, and lone powers with j up
-    to 12, written by binomial runs once j is large enough."""
-    trunc = draw(st.integers(1, 14))
-    coeff, degree = st.integers(-9, 9), st.integers(0, trunc + 2)
-    powers = []
+def series_in_u(draw, trunc=None):
+    """A series in x and u = y/(1-x), u in the y slot: up to three crowded
+    columns, each of many terms sharing one (j, s), written by running
+    sums, and lone terms with j up to 12, written by binomial runs once j
+    is large enough."""
+    if trunc is None:
+        trunc = draw(st.integers(1, 14))
+    coeff, degree = st.integers(-9, 9), st.integers(0, trunc)
+    terms = {}
     for _ in range(draw(st.integers(0, 3))):
         j, s = draw(st.integers(0, 12)), draw(st.integers(0, 3))
-        column = draw(st.lists(st.tuples(coeff, degree), min_size=4, max_size=12))
-        powers += [(c, e, j, s) for c, e in column]
-    lone = st.tuples(coeff, degree, st.integers(0, 12), st.integers(0, 3))
-    powers += draw(st.lists(lone, max_size=6))
-    return trunc, draw(st.permutations(powers))
+        for e in draw(st.lists(degree, min_size=4, max_size=12)):
+            terms[e, j, s] = draw(coeff)
+    for _ in range(draw(st.integers(0, 6))):
+        terms[draw(degree), draw(st.integers(0, 12)), draw(st.integers(0, 3))] = draw(coeff)
+    return TriSeries(trunc, terms)
 
 
-@given(power_lists())
-@settings(max_examples=200)
-def test_sum_of_powers_is_the_ring_sum(case):
-    # sum of c x^e y^j q^s / (1-x)^j, by ring operations.
-    trunc, powers = case
+def _in_y_by_ring(series):
+    """sum of c x^e y^j q^s / (1-x)^j over the terms c x^e u^j q^s, by
+    ring operations."""
+    trunc = series.trunc
     x, _, _ = variables(trunc)
     want = zero(trunc)
-    for c, e, j, s in powers:
+    for (e, j, s), c in series.terms():
         want = want + monomial(e, j, s, c, trunc) * ((one(trunc) - x) ** j).inverse()
-    got = determinants._sum_of_powers(trunc, powers)
-    assert got == want
+    return want
+
+
+@given(series_in_u())
+@settings(max_examples=200)
+def test_in_y_is_the_ring_sum(series):
+    got = determinants._in_y(series)
+    assert got == _in_y_by_ring(series)
     assert all(c for _key, c in got.terms())
+
+
+@given(st.integers(1, 12).flatmap(lambda t: st.tuples(series_in_u(t), st.integers(0, 6))))
+@settings(max_examples=100)
+def test_closing_is_the_printed_closing(case):
+    # _in_y(_closing(body, m)) = x^C(m+1,2) y^m (1-x)^-m
+    #                            + (1-x-xy) (1-x)^-1 _in_y(body).
+    body, m = case
+    trunc = body.trunc
+    x, y, _ = variables(trunc)
+    inv = (one(trunc) - x).inverse()
+    lead = monomial(comb(m + 1, 2), m, 0, 1, trunc) * inv ** m
+    want = lead + (one(trunc) - x - x * y) * inv * _in_y_by_ring(body)
+    assert determinants._in_y(determinants._closing(body, m)) == want
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -82,7 +82,7 @@ def test_cleared_fraction_is_cramers_rule_times_the_cleared_factor(m, trunc):
     u = y * (one(trunc) - x).inverse()
     num, den = genfun._fraction_in_u(m, trunc)
     assert len(den.at_q(1 << trunc)._terms) <= 2 * m
-    num, den = genfun._in_y(num), genfun._in_y(den)
+    num, den = determinants._in_y(num), determinants._in_y(den)
     assert num == determinants.numerator_det(m, trunc)
     assert den == determinants.denominator_det(m, trunc)
     k = determinants.top_block_det(m, trunc) - one(trunc)

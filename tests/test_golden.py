@@ -25,7 +25,11 @@ and the column-by-column change to y against it.  The ``total-gf``
 digests at m = 1, 5 and 8 were recorded while the totals series still
 inverted (1-x)^(m-2) (1-x-xy)^2 in x and y, so they check its quotient
 in x and u, written in y, against that route; the ``gf-q1`` digest at
-m = 4 was recorded at the same time.
+m = 4 was recorded at the same time.  The ``numerator-det`` and
+``denominator-det`` digests at m = 5, 8 and 12 were recorded while the
+closed block determinants were still built from lists of (c, e, j, s)
+powers of u = y/(1-x), so they check the closed forms built as
+polynomials in x and u against that route.
 """
 
 from __future__ import annotations
@@ -99,6 +103,18 @@ DIGESTS = {
         "2af5a9b5d98a9a66d5c5ecb0d1377cc66fa5e8a9efe0c97a153e9e4ccd06cda3",
     ("series-dump", "--m", "8", "--trunc", "50", "--kind", "total-gf"):
         "56eb4468618c17aec8a7cc1794f75a60400eea10c275faa6b5c0f2107b973b97",
+    ("series-dump", "--m", "5", "--trunc", "30", "--kind", "numerator-det"):
+        "bc8fb3ee0a415a868a3b8f6c2b08def79e170262ecb0b5191489134a6520857c",
+    ("series-dump", "--m", "8", "--trunc", "40", "--kind", "numerator-det"):
+        "339354f0113531cc61878c07abcd13a07a0ff70fb299530d2f3c1df154256cfc",
+    ("series-dump", "--m", "12", "--trunc", "60", "--kind", "numerator-det"):
+        "a2ffb904fbe1f5888733cb8404e2791337cc7ec192257e53962b18d915904dea",
+    ("series-dump", "--m", "5", "--trunc", "30", "--kind", "denominator-det"):
+        "55b664ad1f1ecad94acbe683b1b1db9782de0eb53cffa141bd5a37b5938440dd",
+    ("series-dump", "--m", "8", "--trunc", "40", "--kind", "denominator-det"):
+        "71c6c64aae1eb9dd5cbb7a61f91805a2a546019a74685666ad0434bb844edb16",
+    ("series-dump", "--m", "12", "--trunc", "60", "--kind", "denominator-det"):
+        "c3b7df5e4b5a54a8676c07e86b92dbedc6db3ac8a00a2bdd8a7b3945553c52a7",
 }
 
 

@@ -440,17 +440,29 @@ def test_output_of_a_shuffled_mapping_is_sorted_by_key(items):
     _assert_output_sorted_by_key(TriSeries(N, dict(items)))
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(-9, 9), st.integers(0, N), st.integers(0, 6), st.integers(0, 3)
-        ),
-        max_size=12,
-    )
-)
-def test_output_of_a_sum_of_powers_is_sorted_by_key(powers):
-    # _sum_of_powers stores its terms column by column, u-degree major.
-    _assert_output_sorted_by_key(determinants._sum_of_powers(N, powers))
+@st.composite
+def series_in_u(draw):
+    """A series in x and u = y/(1-x), u in the y slot, with up to three
+    crowded columns of terms sharing one (j, s) and lone terms with j up
+    to 12."""
+    degree = st.integers(0, N)
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        j, s = draw(st.integers(0, 12)), draw(st.integers(0, 3))
+        for e in draw(st.lists(degree, min_size=4, max_size=12)):
+            terms[e, j, s] = draw(st.integers(-9, 9))
+    for _ in range(draw(st.integers(0, 6))):
+        terms[draw(degree), draw(st.integers(0, 12)), draw(st.integers(0, 3))] = draw(
+            st.integers(-9, 9)
+        )
+    return TriSeries(N, terms)
+
+
+@given(series_in_u())
+@settings(max_examples=200)
+def test_output_of_in_y_is_sorted_by_key(series):
+    # _in_y stores its terms column by column, u-degree major.
+    _assert_output_sorted_by_key(determinants._in_y(series))
 
 
 @given(sparse_series(), sparse_series(), sparse_series())
