@@ -13,36 +13,37 @@ blocks anchored at the top-left corner of the numerator matrix, and
 column.  The two families differ by an index shift.  Each has a closed
 form built from k_m = sum_{j<m} x^(mj - C(j,2)) (y/(1-x))^j, and each
 satisfies one three-term recurrence in the block size, seeded
-differently per family:
+differently per family, which the paper prints in y:
 
     e_i = (1 - x^i y (1+z)) e_{i-1} + x^i y z e_{i-2},   z = -1/(1-x).
 
-``_recurrence`` generates the whole sequence e_{-1}, e_0, ..., e_trunc in
-one sweep, each step written with one product by z and one one-term
-shift, by x^i y:
+Every block determinant is computed in x and u = y/(1-x), held as a
+series with u in the y slot, and written in y once at the end.  Since
+y z = -u and y (1+z) = -x u, the recurrence in u is a polynomial one,
 
-    e_i = e_{i-1} + x^i y (z (e_{i-2} - e_{i-1}) - e_{i-1}).
+    e_i = (1 + x^(i+1) u) e_{i-1} - x^i u e_{i-2},
 
-The product by z is a negated running sum along x (``_times_z``): the
-coefficient of x^a y^b q^s in z d is minus the sum of d's coefficients
-of x^a' y^b q^s over a' <= a.  The top blocks read d_k = e_{k-1} from the
-seeds (0, 1), the inner blocks d_k = e_k from (1, 1);
-``verify.check_block_dets`` reads every block size of a family from one
-sweep.
+and ``_recurrence`` generates the whole sequence e_{-1}, e_0, ...,
+e_trunc in one sweep, each step written with one shift by x and one by
+x^i u:
 
-The closed forms are polynomials in x and u = y/(1-x), held as series
-with u in the y slot, and one helper writes any such series in y
-(``_in_y``), one column of terms sharing (j, s) at a time: a column of
-few terms as one binomial run per term, a dense one as j running sums
-along x.  So no block needs a division.  The top block of size m is k_m
-(``_top_in_u``); since (1-x-xy)/(1-x) = 1 - x u, the inner block of
-size m - 1 is x^C(m+1,2) u^m + (1 - x u) k_m (``_closing``): k_m's
-terms, the same terms shifted by x u with their signs flipped, and one
-lead term.  ``genfun`` builds the master series' fraction from the same
-three helpers.  The cofactor expansions in ``numerator_det``
-and ``denominator_det`` take their product by z as the same running
-sum.
-The recurrences and ``det_division_free`` (ring operations only, with
+    e_i = e_{i-1} + x^i u (x e_{i-1} - e_{i-2}).
+
+The top blocks read d_k = e_{k-1} from the seeds (0, 1), the inner
+blocks d_k = e_k from (1, 1); ``verify.check_block_dets`` reads every
+block size of a family from one sweep.
+
+One helper writes any series in x and u in y (``_in_y``), one column of
+terms sharing (j, s) at a time: a column of few terms as one binomial
+run per term, a dense one as j running sums along x.  So no block needs
+a division.  The top block of size m is k_m (``_top_in_u``); since
+(1-x-xy)/(1-x) = 1 - x u, the inner block of size m - 1 is
+x^C(m+1,2) u^m + (1 - x u) k_m (``_closing``): k_m's terms, the same
+terms shifted by x u with their signs flipped, and one lead term.
+``genfun`` builds the master series' fraction from the same three
+helpers.  The last-row cofactor expansions d_m + z q x^m y d_{m-1} in
+``numerator_det`` and ``denominator_det`` become d_m - q x^m u d_{m-1}.
+The recurrence and ``det_division_free`` (ring operations only, with
 general products by z) are the independent routes the closed forms are
 checked against.
 """
@@ -60,6 +61,7 @@ from .series import (
     _from_ring,
     monomial,
     one,
+    variables,
     zero,
 )
 
@@ -104,9 +106,11 @@ class SeriesMatrix:
         return self._rows[0][0].trunc
 
     def __getitem__(self, key: tuple[int, int]) -> TriSeries:
-        """The entry at (row, column); an index outside 0..dim-1, negative
-        ones included, raises IndexError, and one that is not a plain int
-        TypeError."""
+        """The entry at (row, column); a key other than such a pair raises
+        TypeError, an index outside 0..dim-1, negative ones included,
+        IndexError, and one that is not a plain int TypeError."""
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise TypeError(f"an entry is indexed by a (row, column) pair, got {key!r}")
         i, j = key
         return self._rows[self._checked("row", i)][self._checked("column", j)]
 
@@ -267,16 +271,17 @@ def top_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") -> T
     recurrence:  d_k = (1 - x^(k-1) y (1+z)) d_{k-1} + x^(k-1) y z d_{k-2}
                  from d_0 = 0 and d_1 = 1, with z = -1/(1-x).
 
-    The closed form is k_k as a polynomial in x and u = y/(1-x)
-    (``_top_in_u``), written in y by ``_in_y``.
-    The size-0 value is 0, the seed the recurrence needs.  The recurrence
-    reads entry k of the ``_recurrence`` sweep, or its last entry.
+    Both modes run in x and u = y/(1-x), where the recurrence reads
+    d_k = (1 + x^k u) d_{k-1} - x^(k-1) u d_{k-2}, and write the result in
+    y by ``_in_y``.  The closed form is k_k (``_top_in_u``).  The size-0
+    value is 0, the seed the recurrence needs.  The recurrence reads entry
+    k of the ``_recurrence`` sweep, or its last entry.
     """
     _check_size("k", k, least=0)
     _check_mode(mode)
     if mode == "closed":
         return _in_y(_top_in_u(k, trunc))
-    return _entry(_recurrence(zero(trunc), one(trunc)), k)
+    return _in_y(_entry(_recurrence(zero(trunc), one(trunc)), k))
 
 
 def inner_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") -> TriSeries:
@@ -287,16 +292,17 @@ def inner_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") ->
     recurrence:  d_k = (1 - x^k y (1+z)) d_{k-1} + x^k y z d_{k-2}
                  from d_{-1} = 1 and d_0 = 1.
 
-    The closed form is x^C(k+2,2) u^(k+1) + psi * top_block_det(k+1) with
-    u = y/(1-x) and psi = (1-x-xy)/(1-x) = 1 - x u, built in x and u
-    (``_closing``) and written in y by ``_in_y``.  The recurrence reads
-    entry k + 1 of the ``_recurrence`` sweep, or its last entry.
+    Both modes run in x and u = y/(1-x), where the recurrence reads
+    d_k = (1 + x^(k+1) u) d_{k-1} - x^k u d_{k-2}, and write the result in
+    y by ``_in_y``.  The closed form is x^C(k+2,2) u^(k+1) + psi k_(k+1)
+    with psi = (1-x-xy)/(1-x) = 1 - x u (``_closing``).  The recurrence
+    reads entry k + 1 of the ``_recurrence`` sweep, or its last entry.
     """
     _check_size("k", k, least=-1)
     _check_mode(mode)
     if mode == "closed":
-        return _in_y(_closing(_top_in_u(k + 1, trunc), k + 1))
-    return _entry(_recurrence(one(trunc), one(trunc)), k + 1)
+        return _in_y(_inner_in_u(k + 1, trunc))
+    return _in_y(_entry(_recurrence(one(trunc), one(trunc)), k + 1))
 
 
 def _top_in_u(m: int, trunc: int) -> TriSeries:
@@ -315,6 +321,11 @@ def _top_in_u(m: int, trunc: int) -> TriSeries:
             break
         terms[e, j, 0] = 1
     return _from_ring(trunc, terms)
+
+
+def _inner_in_u(m: int, trunc: int) -> TriSeries:
+    """The inner block of size m - 1 in x and u: x^C(m+1,2) u^m + (1 - x u) k_m."""
+    return _closing(_top_in_u(m, trunc), m)
 
 
 def _closing(body: TriSeries, m: int) -> TriSeries:
@@ -381,46 +392,24 @@ def _in_y(series: TriSeries) -> TriSeries:
 
 def _recurrence(before: TriSeries, start: TriSeries) -> Iterator[TriSeries]:
     """e_{-1}, e_0, ..., e_trunc of
-    e_i = (1 - x^i y (1+z)) e_{i-1} + x^i y z e_{i-2}, seeded with
-    e_{-1} = before and e_0 = start: trunc + 2 entries.
+    e_i = (1 + x^(i+1) u) e_{i-1} - x^i u e_{i-2}, in x and u with u in
+    the y slot, seeded with e_{-1} = before and e_0 = start: trunc + 2
+    entries.
 
-    Each step is taken as e_i = e_{i-1} + x^i y (z (e_{i-2} - e_{i-1}) - e_{i-1}),
-    one product by z, as the running sum ``_times_z``, and one shift by
-    x^i y; everything else is a ring operation.  Past step trunc the step
-    x^i is zero at this order, so every later e_i equals e_trunc and the
-    sweep stops there.
+    Each step is taken as e_i = e_{i-1} + x^i u (x e_{i-1} - e_{i-2}),
+    two shifts and two sums.  Past step trunc the step x^i is zero at
+    this order, so every later e_i equals e_trunc and the sweep stops
+    there.
     """
     trunc = start.trunc
+    x, _, _ = variables(trunc)
     prev2, prev = before, start
     yield prev2
     yield prev
     for i in range(1, trunc + 1):
         step = monomial(i, 1, 0, 1, trunc)
-        prev2, prev = prev, prev + step * (_times_z(prev2 - prev) - prev)
+        prev2, prev = prev, prev + step * (x * prev - prev2)
         yield prev
-
-
-def _times_z(d: TriSeries) -> TriSeries:
-    """z d with z = -1/(1-x), as a negated running sum along x: the
-    coefficient of x^a y^b q^s is minus the sum of d's coefficients of
-    x^a' y^b q^s over a' <= a, for every a up to d's order.
-
-    It reads d's stored terms directly; the sums that cancel to 0 are not
-    stored.
-    """
-    trunc = d.trunc
-    columns: dict[tuple[int, int], dict[int, int]] = {}
-    for (a, b, s), c in d._terms.items():
-        columns.setdefault((b, s), {})[a] = c
-    out: dict[tuple[int, int, int], int] = {}
-    for (b, s), column in columns.items():
-        run = 0
-        get = column.get
-        for a in range(min(column), trunc + 1):
-            run -= get(a, 0)
-            if run:
-                out[a, b, s] = run
-    return _from_ring(trunc, out)
 
 
 def _entry(sweep: Iterator[TriSeries], index: int) -> TriSeries:
@@ -432,20 +421,20 @@ def _entry(sweep: Iterator[TriSeries], index: int) -> TriSeries:
 
 def numerator_det(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     """det of the numerator matrix, via its last-row cofactor expansion:
-    top_block_det(m) + z q x^m y top_block_det(m-1), the product by z taken
-    as the running sum ``_times_z``."""
+    top_block_det(m) + z q x^m y top_block_det(m-1).  Since y z = -u,
+    this is k_m - q x^m u k_{m-1}, computed in x and u and written in y."""
     _check_size("m", m)
-    marker = monomial(m, 1, 1, 1, trunc)  # q x^m y
-    return top_block_det(m, trunc) + _times_z(marker * top_block_det(m - 1, trunc))
+    marker = monomial(m, 1, 1, 1, trunc)  # q x^m u
+    return _in_y(_top_in_u(m, trunc) - marker * _top_in_u(m - 1, trunc))
 
 
 def denominator_det(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     """det of the system matrix, via its last-row cofactor expansion:
-    inner_block_det(m-1) + z q x^m y inner_block_det(m-2), the product by z
-    taken as the running sum ``_times_z``."""
+    inner_block_det(m-1) + z q x^m y inner_block_det(m-2), computed in x
+    and u as in ``numerator_det``."""
     _check_size("m", m)
     marker = monomial(m, 1, 1, 1, trunc)
-    return inner_block_det(m - 1, trunc) + _times_z(marker * inner_block_det(m - 2, trunc))
+    return _in_y(_inner_in_u(m, trunc) - marker * _inner_in_u(m - 1, trunc))
 
 
 def _check_mode(mode: str) -> None:

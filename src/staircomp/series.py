@@ -125,19 +125,7 @@ class TriSeries:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = min(self.trunc, o.trunc)
-        out = {k: c for k, c in self._terms.items() if k[0] <= n}
-        for k, c in o._terms.items():
-            if k[0] <= n:
-                c += out.get(k, 0)
-                if c:
-                    out[k] = c
-                else:
-                    del out[k]
-        return _from_ring(n, out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -145,10 +133,7 @@ class TriSeries:
         return _from_ring(self.trunc, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -342,6 +327,23 @@ class TriSeries:
         for (a, b, s), c in self._terms.items():
             grouped.setdefault(a, {})[b, s] = c
         return grouped
+
+    def _plus(self, other, sign: int):
+        """self + sign * other, sign being 1 or -1, in one pass over
+        other's terms."""
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        n = min(self.trunc, o.trunc)
+        out = {k: c for k, c in self._terms.items() if k[0] <= n}
+        for k, c in o._terms.items():
+            if k[0] <= n:
+                c = out.get(k, 0) + sign * c
+                if c:
+                    out[k] = c
+                else:
+                    del out[k]
+        return _from_ring(n, out)
 
     def _coerce(self, other) -> TriSeries | None:
         if isinstance(other, TriSeries):

@@ -68,9 +68,10 @@ def check_block_dets(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
     """Closed forms against recurrences: top blocks of size 0..m+1 and
     inner blocks of size -1..m+1, at order trunc, up to size trunc + 2.
 
-    Each family's recurrence is one sweep, read size by size: size k is
-    entry k - first of ``determinants._recurrence`` from the family's
-    seeds, or its last entry once the sweep has ended.
+    Each family's recurrence is one sweep in x and u = y/(1-x), read size
+    by size: size k is entry k - first of ``determinants._recurrence``
+    from the family's seeds, or its last entry once the sweep has ended,
+    written in y by ``determinants._in_y``.
     """
     # At order trunc both modes are constant in the block size from
     # trunc + 1 on: every j >= 1 term of the closed forms has x-degree at
@@ -82,7 +83,7 @@ def check_block_dets(m, max_n, trunc, cap=oracle.MAX_ENUM_N):
         ("top", determinants.top_block_det, 0, zero),
         ("inner", determinants.inner_block_det, -1, one),
     ):
-        sweep = determinants._recurrence(before(trunc), one(trunc))
+        sweep = map(determinants._in_y, determinants._recurrence(before(trunc), one(trunc)))
         recurrence = None
         for k in range(first, last + 1):
             recurrence = next(sweep, recurrence)

@@ -111,6 +111,14 @@ def test_entries_outside_the_matrix_are_refused(key, name, index):
         matrix[key]
 
 
+@pytest.mark.parametrize("key", [0, (0, 1, 2), "ab", (1,), [0, 1]])
+def test_entries_at_keys_other_than_pairs_are_refused(key):
+    matrix, _ = build_system(2, 3)
+    message = f"an entry is indexed by a (row, column) pair, got {key!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        matrix[key]
+
+
 @pytest.mark.parametrize("key, name, index", [
     ((True, True), "row", True), ((0, False), "column", False), ((1.0, 0), "row", 1.0),
     ((0, 2.0), "column", 2.0),
@@ -281,15 +289,16 @@ def _printed_sequence(n, before, start):
 
 @pytest.mark.parametrize("trunc", [1, 2, 3, 8])
 def test_sweep_entries_are_the_block_dets_at_every_size(trunc):
-    # trunc + 2 entries; size k of a family is entry k - first, or the
-    # last entry beyond it.
+    # trunc + 2 entries in x and u; size k of a family is entry k - first,
+    # or the last entry beyond it, and each entry written in y is the
+    # printed y-recurrence's.
     for block_det, first, seed in ((top_block_det, 0, zero), (inner_block_det, -1, one)):
         entries = list(determinants._recurrence(seed(trunc), one(trunc)))
         assert len(entries) == trunc + 2
         printed = _printed_sequence(trunc + 3 - first, seed(trunc), one(trunc))
         for k in range(first, trunc + 4):
-            value = block_det(k, trunc, "recurrence")
-            assert value == entries[min(k - first, trunc + 1)] == printed[k - first], (block_det, k)
+            in_y = determinants._in_y(entries[min(k - first, trunc + 1)])
+            assert block_det(k, trunc, "recurrence") == in_y == printed[k - first], (block_det, k)
 
 
 @st.composite
@@ -303,24 +312,16 @@ def seed_series(draw, trunc):
 
 @given(st.integers(1, 8).flatmap(lambda t: st.tuples(seed_series(t), seed_series(t))))
 def test_sweep_step_is_the_printed_step(seeds):
-    # e_{i-1} + x^i y (z (e_{i-2} - e_{i-1}) - e_{i-1}) is the printed step.
+    # e_{i-1} + x^i u (x e_{i-1} - e_{i-2}) is the step in u as printed,
+    # (1 + x^(i+1) u) e_{i-1} - x^i u e_{i-2}, by ring operations with u
+    # in the y slot.
     before, start = seeds
-    assert list(determinants._recurrence(before, start)) == _printed_sequence(
-        start.trunc, before, start
-    )
-
-
-@given(st.integers(1, 12).flatmap(seed_series))
-def test_running_sum_is_the_product_by_z(d):
-    product = determinants._times_z(d)
-    assert product == determinants._z(d.trunc) * d
-    assert all(c for _key, c in product.terms())
-
-
-def test_running_sum_stores_no_cancelled_term():
-    # z (1 - x) = -1: every running sum past x^0 cancels.
-    x, _, _ = variables(5)
-    assert dict(determinants._times_z(one(5) - x).terms()) == {(0, 0, 0): -1}
+    trunc = start.trunc
+    x, u, _ = variables(trunc)
+    printed = [before, start]
+    for i in range(1, trunc + 1):
+        printed.append((one(trunc) + x ** (i + 1) * u) * printed[-1] - x ** i * u * printed[-2])
+    assert list(determinants._recurrence(before, start)) == printed
 
 
 def _cleared_top_sum(k, trunc):

@@ -76,12 +76,16 @@ def _in_y_without_high_columns(in_y):
     return fault
 
 
-def _times_z_without_top(times_z):
-    # The running sum's terms of x-degree trunc dropped.
-    def fault(d):
-        product = times_z(d)
-        kept = {key: c for key, c in product._terms.items() if key[0] < d.trunc}
-        return TriSeries(d.trunc, kept)
+def _sweep_step_lowered(recurrence):
+    # The sweep with x^(i+1) u e_{i-1} in its step lowered to x^i u e_{i-1};
+    # the step sits inside the sweep, so the fault is a whole faulty copy.
+    def fault(before, start):
+        trunc = start.trunc
+        entries = [before, start]
+        for i in range(1, trunc + 1):
+            step = monomial(i, 1, 0, 1, trunc)
+            entries.append(entries[-1] + step * (entries[-1] - entries[-2]))
+        return iter(entries)
 
     return fault
 
@@ -96,8 +100,8 @@ def _times_z_without_top(times_z):
     # master series' quotient loses terms.
     ("_in_y", _in_y_without_high_columns, ["--m", "3", "--max-n", "10"],
      {ENUMERATION, CRAMER, MARGINALS}),
-    ("_times_z", _times_z_without_top, ["--m", "3", "--max-n", "10"], {CRAMER}),
-], ids=["top-in-u-n12", "top-in-u-n20", "closing", "in-y", "times-z"])
+    ("_recurrence", _sweep_step_lowered, ["--m", "3", "--max-n", "10"], {BLOCKS}),
+], ids=["top-in-u-n12", "top-in-u-n20", "closing", "in-y", "sweep-step"])
 def test_verify_reports_a_planted_fault(monkeypatch, name, make_fault, argv, failing):
     _plant(monkeypatch, name, make_fault)
     assert _failures(argv) == (1, failing)

@@ -475,9 +475,15 @@ def test_ring_axioms(f, g, h):
     assert f * (g + h) == f * g + f * h
 
 
-@given(sparse_series())
-def test_additive_inverse(f):
-    assert f + (-f) == zero(N)
+@given(st.integers(1, N).flatmap(sparse_series), sparse_series(), st.integers(-9, 9))
+def test_additive_inverse(f, g, c):
+    # Subtraction adds the negation; f's order is at most g's, so the
+    # orders differ in most examples.
+    assert g + (-g) == zero(N)
+    assert f - g == f + (-g)
+    assert g - f == g + (-f)
+    assert f - c == f + (-c)
+    assert c - f == c + (-f)
 
 
 @given(units())
