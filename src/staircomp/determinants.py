@@ -80,9 +80,17 @@ class DeterminantLimitError(RuntimeError):
 
 
 class SeriesMatrix:
-    """A square matrix of TriSeries entries sharing one truncation order."""
+    """A square matrix of TriSeries entries sharing one truncation order.
 
-    __slots__ = ("_rows",)
+    The matrix also keeps the minors ``det_division_free`` has found on
+    it, each the determinant on the last rows and a set of columns, keyed
+    by that set as a bit mask.  The entries never change, so a kept minor
+    stays valid as long as the matrix exists.  A new matrix knows only
+    the empty minor, 1; ``with_column`` hands on those that avoid the
+    replaced column.
+    """
+
+    __slots__ = ("_rows", "_minors")
 
     def __init__(self, rows: Iterable[Iterable[TriSeries]]):
         grid = tuple(tuple(row) for row in rows)
@@ -96,6 +104,7 @@ class SeriesMatrix:
                 if entry.trunc != grid[0][0].trunc:
                     raise ValueError("entries must share one truncation order")
         self._rows = grid
+        self._minors: dict[int, TriSeries] = {0: one(self.trunc)}
 
     @property
     def dim(self) -> int:
@@ -124,15 +133,27 @@ class SeriesMatrix:
         )
 
     def with_column(self, col: int, column: Sequence[TriSeries]) -> "SeriesMatrix":
+        """This matrix with column ``col`` replaced by ``column``.
+
+        A minor whose column set avoids ``col`` has the same entries in
+        both matrices, so the new matrix keeps every such minor already
+        found on this one; expanding it then computes only the minors
+        that use the new column.
+        """
         self._checked("column", col)
         if len(column) != self.dim:
             raise ValueError("replacement column has the wrong length")
-        return SeriesMatrix(
+        matrix = SeriesMatrix(
             [
                 [column[i] if j == col else self._rows[i][j] for j in range(self.dim)]
                 for i in range(self.dim)
             ]
         )
+        bit = 1 << col
+        matrix._minors.update(
+            (cols, minor) for cols, minor in self._minors.items() if not cols & bit
+        )
+        return matrix
 
     def _checked(self, name: str, index: int) -> int:
         """``index`` when it is a plain int in 0..dim-1.  A value outside
@@ -220,39 +241,45 @@ def det_division_free(matrix: SeriesMatrix) -> TriSeries:
 
     Uses ring operations only: it needs no unit pivots, so it is a route
     independent of ``TriSeries.divide`` for the closed forms to be checked
-    against.  Minors are memoized on their column set, so the cost is
-    O(2^dim * dim) series multiplications; a dimension above
+    against.  Each minor on the last rows is expanded along its first row
+    and kept on the matrix, keyed by its column set, so the cost is
+    O(2^dim * dim) series multiplications, and a second call on the same
+    matrix costs nothing.  Minors a matrix inherited through
+    ``with_column`` are not expanded again.  A dimension above
     ``DET_DIM_LIMIT`` raises DeterminantLimitError.
     """
     if not isinstance(matrix, SeriesMatrix):
         raise TypeError(f"expected a SeriesMatrix, got {type(matrix).__name__}")
     n = matrix.dim
     _check_dim(n)
-    rows = matrix._rows
-    unit = one(matrix.trunc)
-    empty = zero(matrix.trunc)
-    memo: dict[int, TriSeries] = {0: unit}
+    return _minor(matrix._rows, matrix._minors, zero(matrix.trunc), (1 << n) - 1)
 
-    def expand(cols: int) -> TriSeries:
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        row = n - bin(cols).count("1")
-        acc = empty
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if not cols & bit:
-                continue
-            entry = rows[row][j]
-            if entry:
-                term = entry * expand(cols & ~bit)
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        memo[cols] = acc
-        return acc
 
-    return expand((1 << n) - 1)
+def _minor(
+    rows: tuple[tuple[TriSeries, ...], ...],
+    memo: dict[int, TriSeries],
+    empty: TriSeries,
+    cols: int,
+) -> TriSeries:
+    """The minor on the last ``cols.bit_count()`` rows and the columns in
+    the bit mask ``cols``, from ``memo`` or expanded along its first row
+    and stored there.  ``memo`` must hold the empty minor, 1, at key 0."""
+    cached = memo.get(cols)
+    if cached is not None:
+        return cached
+    row = rows[len(rows) - cols.bit_count()]
+    acc = empty
+    sign = 1
+    for j, entry in enumerate(row):
+        bit = 1 << j
+        if not cols & bit:
+            continue
+        if entry:
+            term = entry * _minor(rows, memo, empty, cols & ~bit)
+            acc = acc + term if sign > 0 else acc - term
+        sign = -sign
+    memo[cols] = acc
+    return acc
 
 
 def _check_dim(n: int) -> None:

@@ -98,13 +98,20 @@ def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False
     matrices with the division-free determinant instead (the dimension
     limit applies, so keep m small on that route; a larger m is refused
     before the system is built).
+
+    The direct route expands the system matrix first.  The numerator
+    matrix differs from it only in column 0, and ``with_column`` hands on
+    the minors found there that avoid column 0, the inner m x m block
+    among them; the numerator's expansion then computes only the minors
+    that use its new column.  At m = 7 the route takes 66 series products
+    instead of 110.
     """
     _validate(m, trunc)
     if direct:
         _check_dim(m + 1)
         matrix, rhs = build_system(m, trunc)
-        det_num = det_division_free(matrix.with_column(0, rhs))
         det_sys = det_division_free(matrix)
+        det_num = det_division_free(matrix.with_column(0, rhs))
     else:
         det_num = numerator_det(m, trunc)
         det_sys = denominator_det(m, trunc)

@@ -1,5 +1,6 @@
 """System construction and the determinant reductions."""
 
+import gc
 import re
 from math import comb
 
@@ -430,6 +431,46 @@ def test_cramer_dets_match_direct_expansion(m):
     matrix, _ = build_system(m, N)
     assert det_division_free(matrix) == denominator_det(m, N)
     assert det_division_free(numerator_matrix(m, N)) == numerator_det(m, N)
+
+
+def _fresh_det(matrix):
+    """det_division_free of a new matrix on the same rows, which inherits
+    no minor."""
+    dim = matrix.dim
+    return det_division_free(SeriesMatrix([[matrix[i, j] for j in range(dim)] for i in range(dim)]))
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_replaced_column_keeps_only_the_minors_that_avoid_it(m):
+    matrix, rhs = build_system(m, 8)
+    det_division_free(matrix)
+    for col in range(m + 1):
+        replaced = matrix.with_column(col, rhs)
+        assert det_division_free(replaced) == _fresh_det(replaced), col
+
+
+@given(
+    st.integers(1, 7).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(0, m), st.lists(seed_series(6), min_size=m + 1, max_size=m + 1)
+    ))
+)
+@settings(max_examples=30, deadline=None)
+def test_replaced_column_of_any_series_keeps_only_the_minors_that_avoid_it(case):
+    m, col, column = case
+    matrix, _ = build_system(m, 6)
+    det_division_free(matrix)
+    replaced = matrix.with_column(col, column)
+    assert det_division_free(replaced) == _fresh_det(replaced)
+
+
+def test_division_free_det_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        det_division_free(build_system(5, 20)[0])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_numerator_det_for_unit_pattern():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staircomp import determinants, genfun, oracle
-from staircomp.series import monomial, one, variables, zero
+from staircomp.series import TriSeries, monomial, one, variables, zero
 
 
 def _table(gf, a):
@@ -104,9 +104,24 @@ def test_cramer_route_agrees(m):
     assert genfun.staircase_gf_cramer(m, 10) == genfun.staircase_gf(m, 10)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", range(1, 8))
 def test_direct_determinant_route_agrees(m):
-    assert genfun.staircase_gf_cramer(m, 10, direct=True) == genfun.staircase_gf(m, 10)
+    assert genfun.staircase_gf_cramer(m, 16, direct=True) == genfun.staircase_gf(m, 16)
+
+
+def test_direct_route_expands_the_shared_minors_once(monkeypatch):
+    # The numerator matrix inherits the system's minors off column 0; two
+    # separate expansions took 110 products.
+    products = []
+    real = TriSeries.__mul__
+
+    def counting(self, other):
+        products.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(TriSeries, "__mul__", counting)
+    genfun.staircase_gf_cramer(7, 30, direct=True)
+    assert len(products) == 66
 
 
 def test_avoiders_slice_matches_enumeration():
