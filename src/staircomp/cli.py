@@ -162,7 +162,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # One census per total for the whole run: the checks share it.
     with oracle.shared_census():
         for name, check in verify.CHECKS:
-            problem = check(args.m, args.max_n, trunc, args.enum_cap)
+            try:
+                problem = check(args.m, args.max_n, trunc, args.enum_cap)
+            except ArithmeticError as exc:  # a divisor that is not a unit, say
+                problem = f"{type(exc).__name__}: {exc}"
             if problem is None:
                 print(f"PASS {name}")
             else:

@@ -40,12 +40,19 @@ a division.  The top block of size m is k_m (``_top_in_u``); since
 (1-x-xy)/(1-x) = 1 - x u, the inner block of size m - 1 is
 x^C(m+1,2) u^m + (1 - x u) k_m (``_closing``): k_m's terms, the same
 terms shifted by x u with their signs flipped, and one lead term.
-``genfun`` builds the master series' fraction from the same three
-helpers.  The last-row cofactor expansions d_m + z q x^m y d_{m-1} in
-``numerator_det`` and ``denominator_det`` become d_m - q x^m u d_{m-1}.
-The recurrence and ``det_division_free`` (ring operations only, with
-general products by z) are the independent routes the closed forms are
-checked against.
+
+The last-row cofactor expansions d_m + z q x^m y d_{m-1} of the two
+Cramer determinants become d_m - q x^m u d_{m-1}.  Over the closed
+forms, since x^m u k_{m-1} = k_m - 1, they are N = k_m - q (k_m - 1)
+and D = x^C(m+1,2) u^m (1 - q) + (1 - x u) N, the master series'
+fraction.  ``_fraction_in_u`` is the one place that builds it:
+``genfun.staircase_gf`` divides it, and ``numerator_det`` and
+``denominator_det`` write its two sides in y.  Over the recurrence,
+``_cofactor_in_u`` reads d_{m-1} and d_m from one sweep per family;
+that is ``genfun.staircase_gf_cramer``'s route, and it uses no closed
+form.  The recurrence and ``det_division_free`` (ring operations only,
+with general products by z) are the independent routes the closed
+forms are checked against.
 """
 
 from __future__ import annotations
@@ -328,7 +335,7 @@ def inner_block_det(k: int, trunc: int = DEFAULT_TRUNC, mode: str = "closed") ->
     _check_size("k", k, least=-1)
     _check_mode(mode)
     if mode == "closed":
-        return _in_y(_inner_in_u(k + 1, trunc))
+        return _in_y(_closing(_top_in_u(k + 1, trunc), k + 1))
     return _in_y(_entry(_recurrence(one(trunc), one(trunc)), k + 1))
 
 
@@ -348,11 +355,6 @@ def _top_in_u(m: int, trunc: int) -> TriSeries:
             break
         terms[e, j, 0] = 1
     return _from_ring(trunc, terms)
-
-
-def _inner_in_u(m: int, trunc: int) -> TriSeries:
-    """The inner block of size m - 1 in x and u: x^C(m+1,2) u^m + (1 - x u) k_m."""
-    return _closing(_top_in_u(m, trunc), m)
 
 
 def _closing(body: TriSeries, m: int) -> TriSeries:
@@ -449,19 +451,58 @@ def _entry(sweep: Iterator[TriSeries], index: int) -> TriSeries:
 def numerator_det(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     """det of the numerator matrix, via its last-row cofactor expansion:
     top_block_det(m) + z q x^m y top_block_det(m-1).  Since y z = -u,
-    this is k_m - q x^m u k_{m-1}, computed in x and u and written in y."""
+    this is k_m - q x^m u k_{m-1}, and since x^m u k_{m-1} = k_m - 1, it
+    is N = k_m - q (k_m - 1) (``_numerator_in_u``), written in y."""
     _check_size("m", m)
-    marker = monomial(m, 1, 1, 1, trunc)  # q x^m u
-    return _in_y(_top_in_u(m, trunc) - marker * _top_in_u(m - 1, trunc))
+    return _in_y(_numerator_in_u(m, trunc))
 
 
 def denominator_det(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     """det of the system matrix, via its last-row cofactor expansion:
-    inner_block_det(m-1) + z q x^m y inner_block_det(m-2), computed in x
-    and u as in ``numerator_det``."""
+    inner_block_det(m-1) + z q x^m y inner_block_det(m-2), that is
+    d_{m-1} - q x^m u d_{m-2} in x and u, with
+    d_k = x^C(k+2,2) u^(k+1) + (1 - x u) k_(k+1).  Since
+    x^m u k_{m-1} = k_m - 1 and x^m u x^C(m,2) u^(m-1) = x^C(m+1,2) u^m,
+    this is D = x^C(m+1,2) u^m (1 - q) + (1 - x u) N
+    (``_fraction_in_u``), written in y."""
     _check_size("m", m)
-    marker = monomial(m, 1, 1, 1, trunc)
-    return _in_y(_inner_in_u(m, trunc) - marker * _inner_in_u(m - 1, trunc))
+    return _in_y(_fraction_in_u(m, trunc)[1])
+
+
+def _numerator_in_u(m: int, trunc: int) -> TriSeries:
+    """N = k_m - q (k_m - 1) in x, u and q, with u in the y slot: each term
+    of k_m, and each one but the constant 1 again times -q."""
+    terms = {}
+    for (e, j, _s), c in _top_in_u(m, trunc)._terms.items():
+        terms[e, j, 0] = c
+        if j:
+            terms[e, j, 1] = -c
+    return _from_ring(trunc, terms)
+
+
+def _fraction_in_u(m: int, trunc: int) -> tuple[TriSeries, TriSeries]:
+    """The polynomials N and D in x, u = y/(1-x) and q whose quotient is the
+    master series, with u in the y slot: N = k_m - q (k_m - 1) and
+    D = ``_closing`` of N minus q x^C(m+1,2) u^m, that is
+    x^C(m+1,2) u^m (1 - q) + (1 - x u) N.  Written in y they are the two
+    Cramer determinants."""
+    numer = _numerator_in_u(m, trunc)
+    return numer, _closing(numer, m) - monomial(comb(m + 1, 2), m, 1, 1, trunc)
+
+
+def _cofactor_in_u(m: int, trunc: int, before: TriSeries) -> TriSeries:
+    """d_m - q x^m u d_{m-1}, the paper's last-row cofactor expansion, for
+    the block family whose ``_recurrence`` sweep starts from (before, 1):
+    d_k is the sweep's entry k, or its last entry once the sweep has
+    ended.  From (0, 1) it is the numerator determinant in x and u, from
+    (1, 1) the system determinant.  The sweep ends at entry trunc + 1;
+    once m is past that, ``below`` is not d_{m-1}, but x^m vanishes at
+    this order."""
+    sweep = _recurrence(before, one(trunc))
+    last = next(sweep)
+    for entry in islice(sweep, m):
+        below, last = last, entry
+    return last - monomial(m, 1, 1, 1, trunc) * below
 
 
 def _check_mode(mode: str) -> None:

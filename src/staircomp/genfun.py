@@ -12,13 +12,11 @@ from math import comb
 
 from .determinants import (
     _check_dim,
-    _closing,
+    _cofactor_in_u,
+    _fraction_in_u,
     _in_y,
-    _top_in_u,
     build_system,
-    denominator_det,
     det_division_free,
-    numerator_det,
 )
 from .series import (
     DEFAULT_TRUNC,
@@ -28,6 +26,7 @@ from .series import (
     monomial,
     one,
     variables,
+    zero,
 )
 
 
@@ -60,10 +59,10 @@ def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     F = 1 / (1 - x u - w A / N).
 
     Every piece is a polynomial in x, u and q, with u in the y slot: each
-    term has u-degree at most its x-degree, as the ring asks of y.  k_m is
-    ``determinants._top_in_u``, N = k_m - q (k_m - 1) = 1 - w K, and D is
-    ``determinants._closing`` of N, A + (1 - x u) N, minus q A
-    (``_fraction_in_u``).  D's x^0 slice is exactly 1.  Its term A, and
+    term has u-degree at most its x-degree, as the ring asks of y.
+    ``determinants._fraction_in_u`` builds N = k_m - q (k_m - 1) = 1 - w K
+    and D = A + (1 - x u) N - q A; written in y they are the two Cramer
+    determinants.  D's x^0 slice is exactly 1.  Its term A, and
     -q A too when m >= 2, cancels against -x u times N's terms in
     u^(m-1), so once q := Q merges the terms that differ only in q, D has
     at most 2m terms, and the series is one long division G = N / D in x
@@ -93,28 +92,34 @@ def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
 def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False) -> TriSeries:
     """Master series via Cramer's rule: det(numerator) / det(system).
 
-    The default route evaluates both determinants through their cofactor
-    reductions onto the block families; ``direct=True`` expands the built
-    matrices with the division-free determinant instead (the dimension
-    limit applies, so keep m small on that route; a larger m is refused
-    before the system is built).
+    The default route is the paper's own.  Each determinant is its
+    last-row cofactor expansion d_m - q x^m u d_{m-1} in x and
+    u = y/(1-x), with d read from entries m - 1 and m of one
+    ``determinants._recurrence`` sweep per block family
+    (``determinants._cofactor_in_u``).  One long division in x, u and q
+    follows, and ``_in_y``, the ring homomorphism u -> y/(1-x), writes the
+    quotient in y, where it equals det_num / det_sys.  So the route shares
+    with ``staircase_gf`` the ring, ``divide`` and ``_in_y``, and none of
+    the closed forms ``_top_in_u`` and ``_closing``.
 
-    The direct route expands the system matrix first.  The numerator
-    matrix differs from it only in column 0, and ``with_column`` hands on
-    the minors found there that avoid column 0, the inner m x m block
-    among them; the numerator's expansion then computes only the minors
-    that use its new column.  At m = 7 the route takes 66 series products
-    instead of 110.
+    ``direct=True`` expands the built matrices with the division-free
+    determinant instead (the dimension limit applies, so keep m small on
+    that route; a larger m is refused before the system is built).  It
+    expands the system matrix first.  The numerator matrix differs from it
+    only in column 0, and ``with_column`` hands on the minors found there
+    that avoid column 0, the inner m x m block among them; the numerator's
+    expansion then computes only the minors that use its new column.  At
+    m = 7 the route takes 66 series products instead of 110.
     """
     _validate(m, trunc)
-    if direct:
-        _check_dim(m + 1)
-        matrix, rhs = build_system(m, trunc)
-        det_sys = det_division_free(matrix)
-        det_num = det_division_free(matrix.with_column(0, rhs))
-    else:
-        det_num = numerator_det(m, trunc)
-        det_sys = denominator_det(m, trunc)
+    if not direct:
+        det_num = _cofactor_in_u(m, trunc, zero(trunc))
+        det_sys = _cofactor_in_u(m, trunc, one(trunc))
+        return _in_y(det_num.divide(det_sys))
+    _check_dim(m + 1)
+    matrix, rhs = build_system(m, trunc)
+    det_sys = det_division_free(matrix)
+    det_num = det_division_free(matrix.with_column(0, rhs))
     return det_num.divide(det_sys)
 
 
@@ -188,14 +193,6 @@ def total_staircases(n: int, num_parts: int, m: int) -> int:
     if top < 0 or top < num_parts - 1:
         return 0
     return (num_parts - m + 1) * comb(top, num_parts - 1)
-
-
-def _fraction_in_u(m: int, trunc: int) -> tuple[TriSeries, TriSeries]:
-    """The polynomials N and D in x, u = y/(1-x) and q whose quotient is the
-    master series (see ``staircase_gf``), with u in the y slot."""
-    k = _top_in_u(m, trunc)
-    numer = k - monomial(0, 0, 1, 1, trunc) * (k - 1)
-    return numer, _closing(numer, m) - monomial(comb(m + 1, 2), m, 1, 1, trunc)
 
 
 def _validate(m: int, trunc: int) -> None:

@@ -18,11 +18,26 @@ order ``max_n`` holds every coefficient they compare.  The three
 series-only checks (Cramer, block determinants, marginals) read
 ``trunc``.  So ``trunc`` may lie below ``max_n``.
 
-``check_cramer`` compares two independent computations of the master
-series: ``genfun.staircase_gf`` divides in x and u = y/(1-x) alone, with
-q carried in the coefficients' base-2^trunc digits, and writes the
-quotient in y one column at a time, while the Cramer route keeps the
-long division in x, y and q, of its own two determinants.
+``check_cramer`` compares two computations of the master series:
+``genfun.staircase_gf`` divides the closed-form fraction built from k_m
+in x and u = y/(1-x) alone, with q carried in the coefficients'
+base-2^trunc digits, while the Cramer route divides the paper's
+cofactor expansions, read from the recurrence sweeps, in x, u and q.
+Both write the quotient in y with ``determinants._in_y``.
+
+What the two sides of each check share, so that a fault in a shared
+helper passes that check:
+
+    check            shared by both sides
+    enumeration      none
+    totals           none
+    blocks           ``_in_y``
+    marginals        none
+    Cramer           the ring, ``divide`` and ``_in_y``
+
+``staircomp verify`` reports a check that raises ArithmeticError as that
+check's failure: ``series.NonUnitError``, a divisor whose x^0 slice is
+not a unit, is what a fault in a determinant's constant term raises.
 
 ``check_gf_vs_oracle`` reads each census once anyway.  ``check_totals``
 reads each one once per part count, so it alone opens

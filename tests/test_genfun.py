@@ -74,17 +74,18 @@ def test_packed_quotient_for_windows_longer_than_the_order(m, trunc):
 @pytest.mark.parametrize("trunc", [1, 2, 12, 30])
 @pytest.mark.parametrize("m", range(1, 9))
 def test_cleared_fraction_is_cramers_rule_times_the_cleared_factor(m, trunc):
-    # Each side of the fraction in x and u = y/(1-x), written in y, is its
-    # Cramer determinant, not only their quotient, and in cluster form
-    # N = 1 - (q-1)(k_m - 1) and D = (1-q) inner_block_det(m-1) + q (1 - x u).
+    # Each side of the fraction in x and u = y/(1-x) is its Cramer
+    # determinant's cofactor expansion over the recurrence, not only their
+    # quotient, and in cluster form N = 1 - (q-1)(k_m - 1) and
+    # D = (1-q) inner_block_det(m-1) + q (1 - x u).
     # At q := 2^trunc the divisor has at most 2m terms.
     x, y, q = variables(trunc)
     u = y * (one(trunc) - x).inverse()
-    num, den = genfun._fraction_in_u(m, trunc)
+    num, den = determinants._fraction_in_u(m, trunc)
     assert len(den.at_q(1 << trunc)._terms) <= 2 * m
+    assert num == determinants._cofactor_in_u(m, trunc, zero(trunc))
+    assert den == determinants._cofactor_in_u(m, trunc, one(trunc))
     num, den = determinants._in_y(num), determinants._in_y(den)
-    assert num == determinants.numerator_det(m, trunc)
-    assert den == determinants.denominator_det(m, trunc)
     k = determinants.top_block_det(m, trunc) - one(trunc)
     assert num == one(trunc) - (q - one(trunc)) * k
     assert den == (
@@ -99,9 +100,24 @@ def test_packed_quotient_property(m, trunc):
     assert genfun.staircase_gf(m, trunc) == _three_variable_quotient(m, trunc)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_cramer_route_agrees(m):
-    assert genfun.staircase_gf_cramer(m, 10) == genfun.staircase_gf(m, 10)
+@pytest.mark.parametrize("trunc", [1, 2, 3, 7, 12, 20, 30])
+@pytest.mark.parametrize("m", [*range(1, 12), 40, 10**9])
+def test_cramer_route_agrees(m, trunc):
+    assert genfun.staircase_gf_cramer(m, trunc) == genfun.staircase_gf(m, trunc)
+
+
+@pytest.mark.parametrize("m, trunc", [(1, 8), (4, 20), (10**9, 12)])
+def test_cramer_route_uses_no_closed_form(monkeypatch, m, trunc):
+    want = genfun.staircase_gf(m, trunc)
+
+    def refuse(*args):
+        raise AssertionError("the Cramer route built a closed form")
+
+    for name in ("_top_in_u", "_closing"):
+        for module in (determinants, genfun):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert genfun.staircase_gf_cramer(m, trunc) == want
 
 
 @pytest.mark.parametrize("m", range(1, 8))

@@ -15,34 +15,37 @@ from math import comb
 
 import pytest
 
-from staircomp import cli, determinants, genfun
-from staircomp.series import TriSeries, monomial
+from staircomp import cli, determinants, genfun, verify
+from staircomp.series import TriSeries, monomial, one
 
 ENUMERATION = "closed form vs enumeration"
 CRAMER = "Cramer path vs closed form"
 BLOCKS = "block determinant recurrences vs closed forms"
+TOTALS = "window totals: formula vs enumeration"
 MARGINALS = "q = 1 marginals"
 
 
 def _plant(monkeypatch, name, make_fault):
-    """Rebind ``name`` to ``make_fault(original)`` in determinants and, when
-    it imports the name, in genfun."""
-    fault = make_fault(getattr(determinants, name))
-    for module in (determinants, genfun):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, fault)
+    """Rebind ``name`` to ``make_fault(original)`` in each of determinants
+    and genfun that binds it."""
+    modules = [module for module in (determinants, genfun) if hasattr(module, name)]
+    fault = make_fault(getattr(modules[0], name))
+    for module in modules:
+        monkeypatch.setattr(module, name, fault)
+
+
+def _run(argv):
+    """verify's exit code and its report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", *argv])
+    return code, out.getvalue()
 
 
 def _failures(argv):
     """verify's exit code and the names of the checks it reports failed."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["verify", *argv])
-    names = {
-        line[len("FAIL "):].split(":")[0]
-        for line in out.getvalue().splitlines()
-        if line.startswith("FAIL ")
-    }
+    code, report = _run(argv)
+    names = {name for name, _check in verify.CHECKS if f"\nFAIL {name}: " in f"\n{report}"}
     return code, names
 
 
@@ -65,6 +68,17 @@ def _closing_raised(closing):
         return closing(body, m) - monomial(e, m, 0, 1, trunc) + monomial(e + 1, m, 0, 1, trunc)
 
     return fault
+
+
+def _top_with_constant_two(top_in_u):
+    # k_m with its constant term 1 doubled: every fraction built from it
+    # has a divisor that is not a unit.
+    return lambda m, trunc: top_in_u(m, trunc) + one(trunc)
+
+
+def _totals_off_at_m_plus_one(total_staircases):
+    # The scalar totals formula one too high at parts = m + 1.
+    return lambda n, parts, m: total_staircases(n, parts, m) + (parts == m + 1)
 
 
 def _in_y_without_high_columns(in_y):
@@ -94,14 +108,21 @@ def _sweep_step_lowered(recurrence):
     ("_top_in_u", _top_raised, ["--m", "4", "--max-n", "12", "--trunc", "14"], {BLOCKS}),
     ("_top_in_u", _top_raised, ["--m", "4", "--max-n", "20", "--trunc", "14"],
      {ENUMERATION, BLOCKS}),
+    # At order 20 the raised power reaches the master series, which the
+    # Cramer route, built from the recurrence, does not share.
+    ("_top_in_u", _top_raised, ["--m", "4", "--max-n", "12", "--trunc", "20"],
+     {CRAMER, BLOCKS}),
     ("_closing", _closing_raised, ["--m", "3", "--max-n", "10"],
      {ENUMERATION, CRAMER, BLOCKS, MARGINALS}),
-    # The blocks checked at m = 3 reach u^4 at most, so only the
-    # master series' quotient loses terms.
+    # The blocks checked at m = 3 reach u^4 at most, so only the master
+    # series loses terms, and both routes to it write their quotient in y
+    # with the same faulty helper.
     ("_in_y", _in_y_without_high_columns, ["--m", "3", "--max-n", "10"],
-     {ENUMERATION, CRAMER, MARGINALS}),
-    ("_recurrence", _sweep_step_lowered, ["--m", "3", "--max-n", "10"], {BLOCKS}),
-], ids=["top-in-u-n12", "top-in-u-n20", "closing", "in-y", "sweep-step"])
+     {ENUMERATION, MARGINALS}),
+    ("_recurrence", _sweep_step_lowered, ["--m", "3", "--max-n", "10"], {CRAMER, BLOCKS}),
+    ("total_staircases", _totals_off_at_m_plus_one, ["--m", "3", "--max-n", "10"], {TOTALS}),
+], ids=["top-in-u-n12", "top-in-u-n20", "top-in-u-t20", "closing", "in-y", "sweep-step",
+        "totals"])
 def test_verify_reports_a_planted_fault(monkeypatch, name, make_fault, argv, failing):
     _plant(monkeypatch, name, make_fault)
     assert _failures(argv) == (1, failing)
@@ -114,3 +135,19 @@ def test_verify_reports_a_planted_fault(monkeypatch, name, make_fault, argv, fai
 ], ids=" ".join)
 def test_verify_passes_without_a_fault(argv):
     assert _failures(argv) == (0, set())
+
+
+def test_verify_reports_a_check_that_raises(monkeypatch):
+    # Every fraction built from the faulty k_m has a divisor that is not a
+    # unit.  Each check that divides by one reports the NonUnitError as its
+    # failure, and the checks after it still run.
+    _plant(monkeypatch, "_top_in_u", _top_with_constant_two)
+    non_unit = "NonUnitError: series is invertible only when its x^0 slice is the constant +1 or -1"
+    assert _run(["--m", "3", "--max-n", "8"]) == (1, (
+        f"FAIL {ENUMERATION}: {non_unit}\n"
+        f"FAIL {CRAMER}: {non_unit}\n"
+        f"FAIL {BLOCKS}: top block size 0 (a=0, b=0, s=0): closed 1 vs recurrence 0\n"
+        f"PASS {TOTALS}\n"
+        f"FAIL {MARGINALS}: {non_unit}\n"
+        "1/5 checks passed (m=3, max_n=8, trunc=14)\n"
+    ))
