@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import determinants, genfun, oracle, verify
-from .series import DEFAULT_TRUNC
+from .series import DEFAULT_TRUNC, NonUnitError
 
 VERIFY_TRUNC = 14
 
@@ -164,7 +164,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for name, check in verify.CHECKS:
             try:
                 problem = check(args.m, args.max_n, trunc, args.enum_cap)
-            except ArithmeticError as exc:  # a divisor that is not a unit, say
+            except NonUnitError as exc:  # a faulty determinant's divisor
                 problem = f"{type(exc).__name__}: {exc}"
             if problem is None:
                 print(f"PASS {name}")

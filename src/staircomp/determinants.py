@@ -24,10 +24,10 @@ y z = -u and y (1+z) = -x u, the recurrence in u is a polynomial one,
     e_i = (1 + x^(i+1) u) e_{i-1} - x^i u e_{i-2},
 
 and ``_recurrence`` generates the whole sequence e_{-1}, e_0, ...,
-e_trunc in one sweep, each step written with one shift by x and one by
-x^i u:
+e_trunc in one sweep, each step adding two shifted copies of the terms
+before it:
 
-    e_i = e_{i-1} + x^i u (x e_{i-1} - e_{i-2}).
+    e_i = e_{i-1} + x^(i+1) u e_{i-1} - x^i u e_{i-2}.
 
 The top blocks read d_k = e_{k-1} from the seeds (0, 1), the inner
 blocks d_k = e_k from (1, 1); ``verify.check_block_dets`` reads every
@@ -42,17 +42,16 @@ x^C(m+1,2) u^m + (1 - x u) k_m (``_closing``): k_m's terms, the same
 terms shifted by x u with their signs flipped, and one lead term.
 
 The last-row cofactor expansions d_m + z q x^m y d_{m-1} of the two
-Cramer determinants become d_m - q x^m u d_{m-1}.  Over the closed
-forms, since x^m u k_{m-1} = k_m - 1, they are N = k_m - q (k_m - 1)
-and D = x^C(m+1,2) u^m (1 - q) + (1 - x u) N, the master series'
-fraction.  ``_fraction_in_u`` is the one place that builds it:
-``genfun.staircase_gf`` divides it, and ``numerator_det`` and
-``denominator_det`` write its two sides in y.  Over the recurrence,
-``_cofactor_in_u`` reads d_{m-1} and d_m from one sweep per family;
-that is ``genfun.staircase_gf_cramer``'s route, and it uses no closed
-form.  The recurrence and ``det_division_free`` (ring operations only,
-with general products by z) are the independent routes the closed
-forms are checked against.
+Cramer determinants become d_m - q x^m u d_{m-1}.  ``numerator_det`` and
+``denominator_det`` read d_{m-1} and d_m from one sweep per family
+(``_cofactor_in_u``), the paper's determinant route, which uses no
+closed form; ``genfun.staircase_gf_cramer`` divides the two.  Over the
+closed forms, since x^m u k_{m-1} = k_m - 1, the same expansions are
+N = k_m - q (k_m - 1) and D = x^C(m+1,2) u^m (1 - q) + (1 - x u) N, the
+master series' fraction; ``_fraction_in_u`` is the one place that
+builds it, and ``genfun.staircase_gf`` divides it.  The recurrence and
+``det_division_free`` (ring operations only, with general products by z)
+are the independent routes the closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from .series import (
     _from_ring,
     monomial,
     one,
-    variables,
     zero,
 )
 
@@ -425,19 +423,29 @@ def _recurrence(before: TriSeries, start: TriSeries) -> Iterator[TriSeries]:
     the y slot, seeded with e_{-1} = before and e_0 = start: trunc + 2
     entries.
 
-    Each step is taken as e_i = e_{i-1} + x^i u (x e_{i-1} - e_{i-2}),
-    two shifts and two sums.  Past step trunc the step x^i is zero at
-    this order, so every later e_i equals e_trunc and the sweep stops
-    there.
+    Each step is taken as e_i = e_{i-1} + x^i u (x e_{i-1} - e_{i-2}):
+    e_{i-1}'s terms shifted by x^(i+1) u and e_{i-2}'s by x^i u with their
+    signs flipped, added into a copy of e_{i-1}'s terms, as ``_closing``
+    adds its terms; ring operations cost several times as much on the
+    few terms of a block.  Past step trunc the step x^i is zero at this
+    order, so every later e_i equals e_trunc and the sweep stops there.
     """
     trunc = start.trunc
-    x, _, _ = variables(trunc)
     prev2, prev = before, start
     yield prev2
     yield prev
     for i in range(1, trunc + 1):
-        step = monomial(i, 1, 0, 1, trunc)
-        prev2, prev = prev, prev + step * (x * prev - prev2)
+        out = dict(prev._terms)
+        for shift, sign, terms in ((i + 1, 1, prev._terms), (i, -1, prev2._terms)):
+            for (e, j, s), c in terms.items():
+                if e + shift <= trunc:
+                    key = (e + shift, j + 1, s)
+                    c = out.get(key, 0) + sign * c
+                    if c:
+                        out[key] = c
+                    else:
+                        del out[key]
+        prev2, prev = prev, _from_ring(trunc, out)
         yield prev
 
 
@@ -451,42 +459,35 @@ def _entry(sweep: Iterator[TriSeries], index: int) -> TriSeries:
 def numerator_det(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     """det of the numerator matrix, via its last-row cofactor expansion:
     top_block_det(m) + z q x^m y top_block_det(m-1).  Since y z = -u,
-    this is k_m - q x^m u k_{m-1}, and since x^m u k_{m-1} = k_m - 1, it
-    is N = k_m - q (k_m - 1) (``_numerator_in_u``), written in y."""
+    this is d_m - q x^m u d_{m-1} over the top blocks, read from their
+    recurrence sweep (``_cofactor_in_u``) and written in y.  Over the
+    closed form, since x^m u k_{m-1} = k_m - 1, it is the master series'
+    numerator N = k_m - q (k_m - 1) (``_fraction_in_u``)."""
     _check_size("m", m)
-    return _in_y(_numerator_in_u(m, trunc))
+    return _in_y(_cofactor_in_u(m, trunc, zero(trunc)))
 
 
 def denominator_det(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     """det of the system matrix, via its last-row cofactor expansion:
     inner_block_det(m-1) + z q x^m y inner_block_det(m-2), that is
-    d_{m-1} - q x^m u d_{m-2} in x and u, with
-    d_k = x^C(k+2,2) u^(k+1) + (1 - x u) k_(k+1).  Since
+    d_{m-1} - q x^m u d_{m-2} over the inner blocks, read from their
+    recurrence sweep (``_cofactor_in_u``) and written in y.  Over the
+    closed forms d_k = x^C(k+2,2) u^(k+1) + (1 - x u) k_(k+1), and since
     x^m u k_{m-1} = k_m - 1 and x^m u x^C(m,2) u^(m-1) = x^C(m+1,2) u^m,
-    this is D = x^C(m+1,2) u^m (1 - q) + (1 - x u) N
-    (``_fraction_in_u``), written in y."""
+    it is the master series' denominator
+    D = x^C(m+1,2) u^m (1 - q) + (1 - x u) N (``_fraction_in_u``)."""
     _check_size("m", m)
-    return _in_y(_fraction_in_u(m, trunc)[1])
-
-
-def _numerator_in_u(m: int, trunc: int) -> TriSeries:
-    """N = k_m - q (k_m - 1) in x, u and q, with u in the y slot: each term
-    of k_m, and each one but the constant 1 again times -q."""
-    terms = {}
-    for (e, j, _s), c in _top_in_u(m, trunc)._terms.items():
-        terms[e, j, 0] = c
-        if j:
-            terms[e, j, 1] = -c
-    return _from_ring(trunc, terms)
+    return _in_y(_cofactor_in_u(m, trunc, one(trunc)))
 
 
 def _fraction_in_u(m: int, trunc: int) -> tuple[TriSeries, TriSeries]:
     """The polynomials N and D in x, u = y/(1-x) and q whose quotient is the
     master series, with u in the y slot: N = k_m - q (k_m - 1) and
     D = ``_closing`` of N minus q x^C(m+1,2) u^m, that is
-    x^C(m+1,2) u^m (1 - q) + (1 - x u) N.  Written in y they are the two
-    Cramer determinants."""
-    numer = _numerator_in_u(m, trunc)
+    x^C(m+1,2) u^m (1 - q) + (1 - x u) N.  They equal the two Cramer
+    determinants' cofactor expansions in x and u (``_cofactor_in_u``)."""
+    k = _top_in_u(m, trunc)
+    numer = k - monomial(0, 0, 1, 1, trunc) * (k - 1)
     return numer, _closing(numer, m) - monomial(comb(m + 1, 2), m, 1, 1, trunc)
 
 

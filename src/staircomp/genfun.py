@@ -12,11 +12,12 @@ from math import comb
 
 from .determinants import (
     _check_dim,
-    _cofactor_in_u,
     _fraction_in_u,
     _in_y,
     build_system,
+    denominator_det,
     det_division_free,
+    numerator_det,
 )
 from .series import (
     DEFAULT_TRUNC,
@@ -26,7 +27,6 @@ from .series import (
     monomial,
     one,
     variables,
-    zero,
 )
 
 
@@ -92,15 +92,13 @@ def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
 def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False) -> TriSeries:
     """Master series via Cramer's rule: det(numerator) / det(system).
 
-    The default route is the paper's own.  Each determinant is its
-    last-row cofactor expansion d_m - q x^m u d_{m-1} in x and
-    u = y/(1-x), with d read from entries m - 1 and m of one
-    ``determinants._recurrence`` sweep per block family
-    (``determinants._cofactor_in_u``).  One long division in x, u and q
-    follows, and ``_in_y``, the ring homomorphism u -> y/(1-x), writes the
-    quotient in y, where it equals det_num / det_sys.  So the route shares
-    with ``staircase_gf`` the ring, ``divide`` and ``_in_y``, and none of
-    the closed forms ``_top_in_u`` and ``_closing``.
+    The default route is the paper's own.  ``numerator_det`` and
+    ``denominator_det`` take each determinant's last-row cofactor
+    expansion d_m - q x^m u d_{m-1} in x and u = y/(1-x), with d read
+    from one ``determinants._recurrence`` sweep per block family, and
+    write it in y; one long division in x, y and q follows.  So the route
+    shares with ``staircase_gf`` the ring, ``divide`` and ``_in_y``, and
+    none of the closed forms ``_top_in_u`` and ``_closing``.
 
     ``direct=True`` expands the built matrices with the division-free
     determinant instead (the dimension limit applies, so keep m small on
@@ -112,14 +110,14 @@ def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False
     m = 7 the route takes 66 series products instead of 110.
     """
     _validate(m, trunc)
-    if not direct:
-        det_num = _cofactor_in_u(m, trunc, zero(trunc))
-        det_sys = _cofactor_in_u(m, trunc, one(trunc))
-        return _in_y(det_num.divide(det_sys))
-    _check_dim(m + 1)
-    matrix, rhs = build_system(m, trunc)
-    det_sys = det_division_free(matrix)
-    det_num = det_division_free(matrix.with_column(0, rhs))
+    if direct:
+        _check_dim(m + 1)
+        matrix, rhs = build_system(m, trunc)
+        det_sys = det_division_free(matrix)
+        det_num = det_division_free(matrix.with_column(0, rhs))
+    else:
+        det_num = numerator_det(m, trunc)
+        det_sys = denominator_det(m, trunc)
     return det_num.divide(det_sys)
 
 

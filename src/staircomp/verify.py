@@ -21,23 +21,26 @@ series-only checks (Cramer, block determinants, marginals) read
 ``check_cramer`` compares two computations of the master series:
 ``genfun.staircase_gf`` divides the closed-form fraction built from k_m
 in x and u = y/(1-x) alone, with q carried in the coefficients'
-base-2^trunc digits, while the Cramer route divides the paper's
-cofactor expansions, read from the recurrence sweeps, in x, u and q.
-Both write the quotient in y with ``determinants._in_y``.
+base-2^trunc digits, and writes the quotient in y, while the Cramer
+route writes the paper's cofactor expansions, read from the recurrence
+sweeps, in y first and divides them in x, y and q.
 
-What the two sides of each check share, so that a fault in a shared
-helper passes that check:
+What the two sides of each check both call, so that a fault there may
+pass that check:
 
-    check            shared by both sides
+    check            called by both sides
     enumeration      none
     totals           none
     blocks           ``_in_y``
     marginals        none
     Cramer           the ring, ``divide`` and ``_in_y``
 
-``staircomp verify`` reports a check that raises ArithmeticError as that
-check's failure: ``series.NonUnitError``, a divisor whose x^0 slice is
-not a unit, is what a fault in a determinant's constant term raises.
+``_in_y`` writes the quotient in y on one side of the Cramer check and
+the two determinants on the other, so a fault in it can still show there.
+
+``staircomp verify`` reports a check that raises ``series.NonUnitError``
+as that check's failure: a divisor whose x^0 slice is not a unit is what
+a fault in a determinant's constant term gives.
 
 ``check_gf_vs_oracle`` reads each census once anyway.  ``check_totals``
 reads each one once per part count, so it alone opens

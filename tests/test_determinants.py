@@ -256,17 +256,19 @@ def test_inner_block_modes_agree(k):
 
 
 def test_recurrence_stops_at_the_order(monkeypatch):
-    # One step monomial per step taken: a step past the order is zero.
-    steps = []
-    real = determinants.monomial
+    # A step past the order is zero, so the sweep ends after step 3: the
+    # block of size 1000 reads the seeds and three entries.
+    entries = []
+    real = determinants._recurrence
 
-    def counting(*args):
-        steps.append(args)
-        return real(*args)
+    def counting(before, start):
+        for entry in real(before, start):
+            entries.append(entry)
+            yield entry
 
-    monkeypatch.setattr(determinants, "monomial", counting)
+    monkeypatch.setattr(determinants, "_recurrence", counting)
     top_block_det(1000, 3, "recurrence")
-    assert 0 < len(steps) <= 3
+    assert len(entries) == 2 + 3
 
 
 @pytest.mark.parametrize("trunc", [1, 2, 3, 8])
