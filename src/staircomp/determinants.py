@@ -52,6 +52,8 @@ master series' fraction; ``_fraction_in_u`` is the one place that
 builds it, and ``genfun.staircase_gf`` divides it.  The recurrence and
 ``det_division_free`` (ring operations only, with general products by z)
 are the independent routes the closed forms are checked against.
+Each of these builders adds a few shifted copies of term maps in
+``series._shifted_sum``, the kernel of the ring's sums and products.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .series import (
     TriSeries,
     _check_size,
     _from_ring,
+    _shifted_sum,
     monomial,
     one,
     zero,
@@ -75,6 +78,10 @@ _DENSE = 4
 n * _DENSE > j, else by one binomial run per term.  A running-sum step is
 an addition, a binomial step a multiplication and a division, and in a
 measured sweep every value from 3 to 8 timed alike."""
+
+_ONE = {(0, 0, 0): 1}
+"""The term map of the constant 1: shifted by (e, j, s), the one term
+x^e u^j q^s that a builder adds."""
 
 DET_DIM_LIMIT = 8
 """Default cap for direct determinant expansion (cost grows with 2^dim)."""
@@ -358,21 +365,13 @@ def _top_in_u(m: int, trunc: int) -> TriSeries:
 def _closing(body: TriSeries, m: int) -> TriSeries:
     """x^C(m+1,2) u^m + (1 - x u) body, for a polynomial ``body`` in x and
     u with u in the y slot; for body = k_m this is the inner block of
-    size m - 1.  The terms are added into a copy of body's, not by ring
-    operations, which cost five times as much on small blocks.
+    size m - 1.  It is body's terms, the same terms shifted by x u with
+    their signs flipped, and the lead term, in one ``_shifted_sum``.
     """
-    trunc, lead = body.trunc, comb(m + 1, 2)
-    out = dict(body._terms)
-    added = [((e + 1, j + 1, s), -c) for (e, j, s), c in out.items() if e < trunc]
-    if lead <= trunc:
-        added.append(((lead, m, 0), 1))
-    for key, c in added:
-        c += out.get(key, 0)
-        if c:
-            out[key] = c
-        else:
-            del out[key]
-    return _from_ring(trunc, out)
+    terms = body._terms
+    return _shifted_sum(
+        body.trunc, terms, (terms, (1, 1, 0), -1), (_ONE, (comb(m + 1, 2), m, 0), 1)
+    )
 
 
 def _in_y(series: TriSeries) -> TriSeries:
@@ -424,28 +423,20 @@ def _recurrence(before: TriSeries, start: TriSeries) -> Iterator[TriSeries]:
     entries.
 
     Each step is taken as e_i = e_{i-1} + x^i u (x e_{i-1} - e_{i-2}):
-    e_{i-1}'s terms shifted by x^(i+1) u and e_{i-2}'s by x^i u with their
-    signs flipped, added into a copy of e_{i-1}'s terms, as ``_closing``
-    adds its terms; ring operations cost several times as much on the
-    few terms of a block.  Past step trunc the step x^i is zero at this
-    order, so every later e_i equals e_trunc and the sweep stops there.
+    e_{i-1}'s terms, the same terms shifted by x^(i+1) u, and e_{i-2}'s
+    shifted by x^i u with their signs flipped, in one ``_shifted_sum``.
+    Past step trunc the step x^i is zero at this order, so every later
+    e_i equals e_trunc and the sweep stops there.
     """
     trunc = start.trunc
     prev2, prev = before, start
     yield prev2
     yield prev
     for i in range(1, trunc + 1):
-        out = dict(prev._terms)
-        for shift, sign, terms in ((i + 1, 1, prev._terms), (i, -1, prev2._terms)):
-            for (e, j, s), c in terms.items():
-                if e + shift <= trunc:
-                    key = (e + shift, j + 1, s)
-                    c = out.get(key, 0) + sign * c
-                    if c:
-                        out[key] = c
-                    else:
-                        del out[key]
-        prev2, prev = prev, _from_ring(trunc, out)
+        terms = prev._terms
+        prev2, prev = prev, _shifted_sum(
+            trunc, terms, (terms, (i + 1, 1, 0), 1), (prev2._terms, (i, 1, 0), -1)
+        )
         yield prev
 
 
@@ -486,9 +477,10 @@ def _fraction_in_u(m: int, trunc: int) -> tuple[TriSeries, TriSeries]:
     D = ``_closing`` of N minus q x^C(m+1,2) u^m, that is
     x^C(m+1,2) u^m (1 - q) + (1 - x u) N.  They equal the two Cramer
     determinants' cofactor expansions in x and u (``_cofactor_in_u``)."""
-    k = _top_in_u(m, trunc)
-    numer = k - monomial(0, 0, 1, 1, trunc) * (k - 1)
-    return numer, _closing(numer, m) - monomial(comb(m + 1, 2), m, 1, 1, trunc)
+    k = _top_in_u(m, trunc)._terms
+    numer = _shifted_sum(trunc, k, (k, (0, 0, 1), -1), (_ONE, (0, 0, 1), 1))
+    closing = _closing(numer, m)._terms
+    return numer, _shifted_sum(trunc, closing, (_ONE, (comb(m + 1, 2), m, 1), -1))
 
 
 def _cofactor_in_u(m: int, trunc: int, before: TriSeries) -> TriSeries:
@@ -503,7 +495,7 @@ def _cofactor_in_u(m: int, trunc: int, before: TriSeries) -> TriSeries:
     last = next(sweep)
     for entry in islice(sweep, m):
         below, last = last, entry
-    return last - monomial(m, 1, 1, 1, trunc) * below
+    return _shifted_sum(trunc, last._terms, (below._terms, (m, 1, 1), -1))
 
 
 def _check_mode(mode: str) -> None:

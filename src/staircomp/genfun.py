@@ -65,9 +65,10 @@ def staircase_gf(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:
     determinants.  D's x^0 slice is exactly 1.  Its term A, and
     -q A too when m >= 2, cancels against -x u times N's terms in
     u^(m-1), so once q := Q merges the terms that differ only in q, D has
-    at most 2m terms, and the series is one long division G = N / D in x
-    and u.  ``determinants._in_y`` then writes each term g x^e u^j of G in
-    y as g x^e y^j (1-x)^-j, one column of terms sharing j at a time.  A
+    max(2, 2m - 1) terms (fewer when the order cuts some), and the series
+    is one long division G = N / D in x and u.  ``determinants._in_y``
+    then writes each term g x^e u^j of G in y as g x^e y^j (1-x)^-j, one
+    column of terms sharing j at a time.  A
     term x^e u^j written in y has x-degree at least e, so G to order
     trunc gives F to order trunc.
 

@@ -39,6 +39,9 @@ those checks and are stored as computed: their terms come from operands
 that were checked already, and each operation drops its own zeros and its
 terms above the order, so a stored series never holds a zero coefficient
 or an x-degree beyond ``trunc``.
+
+Sums and products are one kernel, ``_shifted_sum``: a sum adds one
+shifted copy of a term map, a product one per term of the shorter factor.
 """
 
 from __future__ import annotations
@@ -136,36 +139,20 @@ class TriSeries:
         return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _shifted_sum(self.trunc, o._terms, (self._terms, (0, 0, 0), -1))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = min(self.trunc, o.trunc)
         f, g = self._terms, o._terms
-        if len(f) == 1:
+        if len(f) < len(g):
             f, g = g, f
-        if len(g) == 1:
-            # A one-term factor c0 x^a0 y^b0 q^s0 shifts the other's terms.
-            ((a0, b0, s0), c0), = g.items()
-            return _from_ring(n, {
-                (a + a0, b + b0, s + s0): c * c0 for (a, b, s), c in f.items() if a + a0 <= n
-            })
-        out: dict[Key, int] = {}
-        right = o._slices()
-        for a1, left_slice in self._slices().items():
-            if a1 > n:
-                continue
-            for a2, right_slice in right.items():
-                a = a1 + a2
-                if a > n:
-                    continue
-                for (b1, s1), c1 in left_slice.items():
-                    for (b2, s2), c2 in right_slice.items():
-                        key = (a, b1 + b2, s1 + s2)
-                        out[key] = out.get(key, 0) + c1 * c2
-        return _from_ring(n, {k: c for k, c in out.items() if c})
+        # One shifted copy of the longer factor per term of the shorter.
+        return _shifted_sum(min(self.trunc, o.trunc), {}, *((f, key, c) for key, c in g.items()))
 
     __rmul__ = __mul__
 
@@ -329,21 +316,13 @@ class TriSeries:
         return grouped
 
     def _plus(self, other, sign: int):
-        """self + sign * other, sign being 1 or -1, in one pass over
-        other's terms."""
+        """self + sign * other, sign being 1 or -1."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         n = min(self.trunc, o.trunc)
-        out = {k: c for k, c in self._terms.items() if k[0] <= n}
-        for k, c in o._terms.items():
-            if k[0] <= n:
-                c = out.get(k, 0) + sign * c
-                if c:
-                    out[k] = c
-                else:
-                    del out[k]
-        return _from_ring(n, out)
+        base = self if self.trunc == n else self.truncated(n)
+        return _shifted_sum(n, base._terms, (o._terms, (0, 0, 0), sign))
 
     def _coerce(self, other) -> TriSeries | None:
         if isinstance(other, TriSeries):
@@ -365,6 +344,34 @@ def _from_ring(trunc: int, terms: dict[Key, int]) -> TriSeries:
     series.trunc = trunc
     series._terms = terms
     return series
+
+
+def _shifted_sum(trunc: int, base: Mapping[Key, int], *shifted) -> TriSeries:
+    """The series of the term map ``base`` plus, for each
+    ``(terms, (da, db, ds), c)`` in ``shifted``, the term map ``terms``
+    times c x^da y^db q^ds, cut at x-degree ``trunc``.  Coefficients that
+    cancel are dropped as they arise.  Every sum and product of the ring,
+    and every term builder of ``determinants``, is this one call.
+
+    The caller guarantees what ``_from_ring`` asks of the maps it passes:
+    keys are (a, b, s) triples of non-negative ints and values non-zero
+    ints, each c is a non-zero int, and ``base`` has no x-degree above
+    ``trunc`` (it is copied as it is, the shifted maps are cut).  No map
+    passed in is changed or kept.
+    """
+    out = dict(base)
+    get = out.get
+    for terms, (da, db, ds), factor in shifted:
+        top = trunc - da
+        for (a, b, s), c in terms.items():
+            if a <= top:
+                key = (a + da, b + db, s + ds)
+                c = get(key, 0) + c * factor
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+    return _from_ring(trunc, out)
 
 
 def _split_q_digits(packed: TriSeries, bits: int) -> TriSeries:

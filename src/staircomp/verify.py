@@ -31,12 +31,16 @@ pass that check:
     check            called by both sides
     enumeration      none
     totals           none
-    blocks           ``_in_y``
+    blocks           ``_in_y`` and ``series._shifted_sum``
     marginals        none
-    Cramer           the ring, ``divide`` and ``_in_y``
+    Cramer           the ring (whose sums and products are
+                     ``series._shifted_sum``), ``divide`` and ``_in_y``
 
 ``_in_y`` writes the quotient in y on one side of the Cramer check and
 the two determinants on the other, so a fault in it can still show there.
+``_shifted_sum`` builds the closed forms and every sweep step alike, yet
+a fault in it can still show in the block check, since the two sides
+reach the same term through different sums.
 
 ``staircomp verify`` reports a check that raises ``series.NonUnitError``
 as that check's failure: a divisor whose x^0 slice is not a unit is what

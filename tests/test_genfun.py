@@ -94,6 +94,19 @@ def test_cleared_fraction_is_cramers_rule_times_the_cleared_factor(m, trunc):
     )
 
 
+@pytest.mark.parametrize("m", range(1, 13))
+def test_packed_divisor_has_max_2_and_2m_minus_1_terms(m):
+    # At q := 2^trunc, D = (1 - x u) N + (1 - q) A has 2m + 1 terms less
+    # the two that cancel for m >= 2: A (1 - q) against -x u times N's term
+    # in u^(m-1).  At m = 1, N = 1 and D = 1 - q x u.  A short order cuts
+    # terms.
+    want = max(2, 2 * m - 1)
+    for trunc in (200, 5):
+        den = determinants._fraction_in_u(m, trunc)[1].at_q(1 << trunc)
+        count = len(den._terms)
+        assert count == want if trunc == 200 else count <= want
+
+
 @given(st.integers(1, 12), st.integers(1, 30))
 @settings(max_examples=40, deadline=None)
 def test_packed_quotient_property(m, trunc):

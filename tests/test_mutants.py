@@ -15,7 +15,7 @@ from math import comb
 
 import pytest
 
-from staircomp import cli, determinants, genfun, verify
+from staircomp import cli, determinants, genfun, series, verify
 from staircomp.series import TriSeries, monomial, one
 
 ENUMERATION = "closed form vs enumeration"
@@ -26,9 +26,9 @@ MARGINALS = "q = 1 marginals"
 
 
 def _plant(monkeypatch, name, make_fault):
-    """Rebind ``name`` to ``make_fault(original)`` in each of determinants
-    and genfun that binds it."""
-    modules = [module for module in (determinants, genfun) if hasattr(module, name)]
+    """Rebind ``name`` to ``make_fault(original)`` in each of series,
+    determinants and genfun that binds it."""
+    modules = [module for module in (series, determinants, genfun) if hasattr(module, name)]
     fault = make_fault(getattr(modules[0], name))
     for module in modules:
         monkeypatch.setattr(module, name, fault)
@@ -90,6 +90,18 @@ def _in_y_without_high_columns(in_y):
     return fault
 
 
+def _shifted_sum_short_at_the_order(shifted_sum):
+    # Every shifted term that lands exactly at x-degree trunc dropped, in
+    # the ring's sums and products and in every term builder.
+    def fault(trunc, base, *shifted):
+        return shifted_sum(trunc, base, *(
+            ({key: c for key, c in terms.items() if key[0] + shift[0] < trunc}, shift, factor)
+            for terms, shift, factor in shifted
+        ))
+
+    return fault
+
+
 def _sweep_step_lowered(recurrence):
     # The sweep with x^(i+1) u e_{i-1} in its step lowered to x^i u e_{i-1};
     # the step sits inside the sweep, so the fault is a whole faulty copy.
@@ -122,8 +134,11 @@ def _sweep_step_lowered(recurrence):
      {ENUMERATION, CRAMER, MARGINALS}),
     ("_recurrence", _sweep_step_lowered, ["--m", "3", "--max-n", "10"], {CRAMER, BLOCKS}),
     ("total_staircases", _totals_off_at_m_plus_one, ["--m", "3", "--max-n", "10"], {TOTALS}),
+    ("_shifted_sum", _shifted_sum_short_at_the_order, ["--m", "3", "--max-n", "10"], {BLOCKS}),
+    ("_shifted_sum", _shifted_sum_short_at_the_order,
+     ["--m", "4", "--max-n", "12", "--trunc", "20"], {BLOCKS}),
 ], ids=["top-in-u-n12", "top-in-u-n20", "top-in-u-t20", "closing", "in-y", "sweep-step",
-        "totals"])
+        "totals", "shifted-sum", "shifted-sum-t20"])
 def test_verify_reports_a_planted_fault(monkeypatch, name, make_fault, argv, failing):
     _plant(monkeypatch, name, make_fault)
     assert _failures(argv) == (1, failing)

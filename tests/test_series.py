@@ -590,25 +590,26 @@ _POLY = TriSeries(N, {(0, 0, 0): 2, (1, 1, 0): -3, (4, 2, 1): 5, (9, 0, 3): 1, (
         (monomial(0, 2, 1, -7, N), _POLY),
         (_POLY, monomial(5, 0, 0, 4, 30)),
         (monomial(15, 1, 0, 1, 30), _POLY),
+        (1 + monomial(1, 0, 0, 1, N), 1 - monomial(1, 0, 0, 1, N)),
     ],
     ids=[
         "term-left", "term-right", "both-terms", "wider-term", "narrower-term",
-        "negative", "partly-cut", "beyond-order",
+        "negative", "partly-cut", "beyond-order", "cancelling",
     ],
 )
-def test_one_term_products_match_the_schoolbook_product(left, right):
+def test_products_match_the_schoolbook_product(left, right):
     product = left * right
     assert product == _schoolbook(left, right)
     _assert_stored_as_checked(product)
 
 
 @given(
-    st.integers(1, N).flatmap(lambda order: sparse_series(trunc=order, max_terms=1)),
-    sparse_series(),
+    st.integers(1, N).flatmap(lambda order: sparse_series(trunc=order)),
+    st.integers(1, N).flatmap(lambda order: sparse_series(trunc=order)),
 )
-def test_random_one_term_products_match_the_schoolbook_product(t, f):
-    assert t * f == _schoolbook(t, f)
-    assert f * t == _schoolbook(f, t)
+def test_random_products_match_the_schoolbook_product(f, g):
+    assert f * g == _schoolbook(f, g)
+    assert g * f == _schoolbook(g, f)
 
 
 def test_ring_operations_skip_the_public_constructor(monkeypatch):
