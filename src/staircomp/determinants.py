@@ -33,11 +33,13 @@ The top blocks read d_k = e_{k-1} from the seeds (0, 1), the inner
 blocks d_k = e_k from (1, 1); ``verify.check_block_dets`` reads every
 block size of a family from one sweep.
 
-One helper writes any series in x and u in y (``_in_y``), one column of
-terms sharing (j, s) at a time: a column of few terms as one binomial
-run per term, a dense one as j running sums along x.  So no block needs
-a division.  The top block of size m is k_m (``_top_in_u``); since
-(1-x-xy)/(1-x) = 1 - x u, the inner block of size m - 1 is
+Two helpers change the variable, one column of terms sharing (j, s) at
+a time.  ``_in_y`` writes any series in x and u in y: a column of few
+terms as one binomial run per term, a dense one as j running sums along
+x.  ``_in_u``, its inverse, writes a series in x and y in u, as j
+running differences along x.  So no block needs a division.  The top
+block of size m is k_m (``_top_in_u``); since (1-x-xy)/(1-x) = 1 - x u,
+the inner block of size m - 1 is
 x^C(m+1,2) u^m + (1 - x u) k_m (``_closing``): k_m's terms, the same
 terms shifted by x u with their signs flipped, and one lead term.
 
@@ -45,11 +47,13 @@ The last-row cofactor expansions d_m + z q x^m y d_{m-1} of the two
 Cramer determinants become d_m - q x^m u d_{m-1}.  ``numerator_det`` and
 ``denominator_det`` read d_{m-1} and d_m from one sweep per family
 (``_cofactor_in_u``), the paper's determinant route, which uses no
-closed form; ``genfun.staircase_gf_cramer`` divides the two.  Over the
-closed forms, since x^m u k_{m-1} = k_m - 1, the same expansions are
-N = k_m - q (k_m - 1) and D = x^C(m+1,2) u^m (1 - q) + (1 - x u) N, the
-master series' fraction; ``_fraction_in_u`` is the one place that
-builds it, and ``genfun.staircase_gf`` divides it.  The recurrence and
+closed form; ``genfun.staircase_gf_cramer`` writes the two in u by
+``_in_u``, where the divisor is a polynomial, divides, and writes the
+quotient in y.  Over the closed forms, since x^m u k_{m-1} = k_m - 1,
+the same expansions are N = k_m - q (k_m - 1) and
+D = x^C(m+1,2) u^m (1 - q) + (1 - x u) N, the master series' fraction;
+``_fraction_in_u`` is the one place that builds it, and
+``genfun.staircase_gf`` divides it.  The recurrence and
 ``det_division_free`` (ring operations only, with general products by z)
 are the independent routes the closed forms are checked against.
 Each of these builders adds a few shifted copies of term maps in
@@ -58,8 +62,9 @@ Each of these builders adds a few shifted copies of term maps in
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from math import comb
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .series import (
@@ -411,6 +416,37 @@ def _in_y(series: TriSeries) -> TriSeries:
                     run[i + t] += c
                     c = c * (t + j) // (t + 1)
         for a, c in enumerate(in_y, low):
+            if c:
+                out[a, j, s] = c
+    return _from_ring(trunc, out)
+
+
+def _in_u(series: TriSeries) -> TriSeries:
+    """The inverse of ``_in_y``: a series in x and y written in x and
+    u = y/(1-x), with u in the y slot.  Each term c x^e y^j q^s becomes
+    c x^e u^j q^s (1-x)^j.
+
+    Terms that share (j, s) form one column, as in ``_in_y``, and each
+    column's polynomial in x, from its lowest x-degree up to the order, is
+    multiplied by (1-x)^j as j running differences along x.  The
+    substitution y -> u (1-x) is a ring automorphism of the truncated ring
+    that keeps every x^0 slice, so a unit stays a unit and a quotient
+    written in u is the quotient of the two series written in u.
+    Coefficients that cancel are dropped.
+    """
+    trunc = series.trunc
+    columns: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (e, j, s), c in series._terms.items():
+        columns.setdefault((j, s), []).append((e, c))
+    out: dict[tuple[int, int, int], int] = {}
+    for (j, s), column in columns.items():
+        low = min(e for e, _c in column)
+        run = [0] * (trunc + 1 - low)
+        for e, c in column:
+            run[e - low] += c
+        for _ in range(j):
+            run = list(map(sub, run, chain((0,), run)))
+        for a, c in enumerate(run, low):
             if c:
                 out[a, j, s] = c
     return _from_ring(trunc, out)

@@ -13,6 +13,7 @@ from math import comb
 from .determinants import (
     _check_dim,
     _fraction_in_u,
+    _in_u,
     _in_y,
     build_system,
     denominator_det,
@@ -97,9 +98,22 @@ def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False
     ``denominator_det`` take each determinant's last-row cofactor
     expansion d_m - q x^m u d_{m-1} in x and u = y/(1-x), with d read
     from one ``determinants._recurrence`` sweep per block family, and
-    write it in y; one long division in x, y and q follows.  So the route
-    shares with ``staircase_gf`` the ring, ``divide`` and ``_in_y``, and
-    none of the closed forms ``_top_in_u`` and ``_closing``.
+    write it in y.
+
+    Both routes end alike: ``determinants._in_u`` writes the two
+    determinants in u, one long division in x, u and q follows, and
+    ``_in_y`` writes the quotient in y.  The substitution y -> u (1-x) is
+    a ring automorphism of the truncated ring that keeps every x^0 slice,
+    so the quotient is exact and a divisor that is not a unit raises
+    NonUnitError as it would in y.  In u the system determinant is the
+    few-term polynomial d_m - q x^m u d_{m-1}; in y each u^j is the dense
+    y^j (1-x)^-j, so the divisor has a slice at every x-degree.  Each
+    route shares with ``staircase_gf`` the ring, ``divide`` and
+    ``_in_y``, and none of the closed forms ``_top_in_u`` and
+    ``_closing``.  The default route takes its determinants through y
+    and back because the benchmark's tracer test expects the edge
+    ``genfun.staircase_gf_cramer -> determinants.numerator_det``
+    (``bench/test_bench.py``).
 
     ``direct=True`` expands the built matrices with the division-free
     determinant instead (the dimension limit applies, so keep m small on
@@ -119,7 +133,7 @@ def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False
     else:
         det_num = numerator_det(m, trunc)
         det_sys = denominator_det(m, trunc)
-    return det_num.divide(det_sys)
+    return _in_y(_in_u(det_num).divide(_in_u(det_sys)))
 
 
 def gf_at_q1(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:

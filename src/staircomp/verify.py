@@ -22,8 +22,10 @@ series-only checks (Cramer, block determinants, marginals) read
 ``genfun.staircase_gf`` divides the closed-form fraction built from k_m
 in x and u = y/(1-x) alone, with q carried in the coefficients'
 base-2^trunc digits, and writes the quotient in y, while the Cramer
-route writes the paper's cofactor expansions, read from the recurrence
-sweeps, in y first and divides them in x, y and q.
+route takes the paper's cofactor expansions from ``numerator_det`` and
+``denominator_det`` (read from the recurrence sweeps, written in y),
+writes them back in u by ``determinants._in_u``, divides them in x, u
+and q, and writes the quotient in y.
 
 What the two sides of each check both call, so that a fault there may
 pass that check:
@@ -36,8 +38,11 @@ pass that check:
     Cramer           the ring (whose sums and products are
                      ``series._shifted_sum``), ``divide`` and ``_in_y``
 
-``_in_y`` writes the quotient in y on one side of the Cramer check and
-the two determinants on the other, so a fault in it can still show there.
+Only the Cramer side calls ``_in_u``.  ``_in_y`` writes both sides'
+quotients in y, so a fault in it that changes a quotient changes both
+alike.  The Cramer check sees such a fault only through the
+determinants, which the Cramer side writes in y before ``_in_u`` reads
+them back; the checks against enumeration and binomials can see it.
 ``_shifted_sum`` builds the closed forms and every sweep step alike, yet
 a fault in it can still show in the block check, since the two sides
 reach the same term through different sums.

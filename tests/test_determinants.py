@@ -391,6 +391,53 @@ def test_in_y_is_the_ring_sum(series):
     assert all(c for _key, c in got.terms())
 
 
+def _within_the_ring(series):
+    """``series`` without its terms whose y-degree exceeds their x-degree."""
+    return TriSeries(series.trunc, {key: c for key, c in series.terms() if key[1] <= key[0]})
+
+
+@given(series_in_u().map(_within_the_ring))
+@settings(max_examples=200)
+def test_in_u_undoes_in_y(series):
+    assert determinants._in_u(determinants._in_y(series)) == series
+
+
+@given(series_in_u().map(_within_the_ring))
+@settings(max_examples=200)
+def test_in_y_undoes_in_u(series):
+    # The same strategy's series, read as series in x and y.
+    got = determinants._in_u(series)
+    assert determinants._in_y(got) == series
+    assert all(c for _key, c in got.terms())
+
+
+@st.composite
+def unit_divisor(draw, trunc):
+    """A series in x, y and q whose x^0 slice is the constant +1 or -1,
+    with every other term's y- and q-degrees at most its x-degree."""
+    terms = {(0, 0, 0): draw(st.sampled_from([1, -1]))}
+    for _ in range(draw(st.integers(0, 8))):
+        a = draw(st.integers(1, trunc))
+        terms[a, draw(st.integers(0, a)), draw(st.integers(0, min(a, 2)))] = draw(
+            st.integers(-9, 9)
+        )
+    return TriSeries(trunc, terms)
+
+
+@given(
+    st.integers(1, 10).flatmap(
+        lambda t: st.tuples(series_in_u(t).map(_within_the_ring), unit_divisor(t))
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_quotient_in_u_is_the_quotient_in_y(case):
+    # y -> u (1-x) is a ring automorphism that keeps every x^0 slice, so
+    # dividing in u and writing the quotient in y is dividing in y.
+    num, den = case
+    in_u, in_y = determinants._in_u, determinants._in_y
+    assert in_y(in_u(num).divide(in_u(den))) == num.divide(den)
+
+
 @given(st.integers(1, 12).flatmap(lambda t: st.tuples(series_in_u(t), st.integers(0, 6))))
 @settings(max_examples=100)
 def test_closing_is_the_printed_closing(case):
