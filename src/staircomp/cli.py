@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import determinants, genfun, oracle, verify
-from .series import DEFAULT_TRUNC, NonUnitError
+from .series import DEFAULT_TRUNC, DigitSplitError, NonUnitError
 
 VERIFY_TRUNC = 14
 
@@ -164,7 +164,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for name, check in verify.CHECKS:
             try:
                 problem = check(args.m, args.max_n, trunc, args.enum_cap)
-            except NonUnitError as exc:  # a faulty determinant's divisor
+            except (NonUnitError, DigitSplitError) as exc:  # a faulty divisor or sign
                 problem = f"{type(exc).__name__}: {exc}"
             if problem is None:
                 print(f"PASS {name}")

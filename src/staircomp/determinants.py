@@ -54,10 +54,18 @@ the same expansions are N = k_m - q (k_m - 1) and
 D = x^C(m+1,2) u^m (1 - q) + (1 - x u) N, the master series' fraction;
 ``_fraction_in_u`` is the one place that builds it, and
 ``genfun.staircase_gf`` divides it.  The recurrence and
-``det_division_free`` (ring operations only, with general products by z)
-are the independent routes the closed forms are checked against.
+``det_division_free`` (ring operations only) are the independent routes
+the closed forms are checked against.
 Each of these builders adds a few shifted copies of term maps in
 ``series._shifted_sum``, the kernel of the ring's sums and products.
+
+The direct Cramer route (``genfun.staircase_gf_cramer(direct=True)``)
+expands neither built matrix as it stands, since there z makes every
+minor a dense series.  It expands S^-1 A S with y written as u (1-x),
+S = diag(1, 1-x, ..., (1-x)^m) (``_conjugated``): entry (j, i) gains
+the factor (1-x)^(i-j), so z becomes -1, and every entry is a polynomial
+of at most three terms.  A similarity keeps the determinant, so
+``det_division_free`` returns both determinants already in u.
 """
 
 from __future__ import annotations
@@ -232,6 +240,29 @@ def build_system(m: int, trunc: int = DEFAULT_TRUNC) -> tuple[SeriesMatrix, list
     return SeriesMatrix(rows), rhs
 
 
+def _conjugated(
+    matrix: SeriesMatrix, rhs: Sequence[TriSeries]
+) -> tuple[SeriesMatrix, list[TriSeries]]:
+    """S^-1 A S in x and u = y/(1-x), with S = diag(1, 1-x, ..., (1-x)^(dim-1)),
+    for the matrix A and right-hand side that ``build_system`` returns.
+
+    Entry (j, i) is ``_in_u`` of A's entry with shift i - j, and entry j
+    of the right-hand side, which replaces column 0, has shift -j.  A
+    similarity keeps the determinant, so the determinant of the result,
+    or of the result with column 0 replaced, is the one of A (or of A with
+    column 0 replaced) written in u.  On the built system every term
+    x^e y^k of entry (j, i) has k + i - j equal to 0 or 1: z becomes -1,
+    -x^e y^k becomes -x^e u^k (1-x), the last row's -q x^m y becomes
+    -q x^m u and the right-hand side's x^t y^j becomes x^t u^j, so no
+    entry has more than three terms.  Zero entries are kept as they are.
+    """
+    conjugated = SeriesMatrix(
+        [_in_u(entry, i - j) if entry else entry for i, entry in enumerate(row)]
+        for j, row in enumerate(matrix._rows)
+    )
+    return conjugated, [_in_u(entry, -j) if entry else entry for j, entry in enumerate(rhs)]
+
+
 def numerator_matrix(m: int, trunc: int = DEFAULT_TRUNC) -> SeriesMatrix:
     """System matrix with its first column replaced by the right-hand side."""
     matrix, rhs = build_system(m, trunc)
@@ -263,7 +294,9 @@ def det_division_free(matrix: SeriesMatrix) -> TriSeries:
     O(2^dim * dim) series multiplications, and a second call on the same
     matrix costs nothing.  Minors a matrix inherited through
     ``with_column`` are not expanded again.  A dimension above
-    ``DET_DIM_LIMIT`` raises DeterminantLimitError.
+    ``DET_DIM_LIMIT`` raises DeterminantLimitError.  The determinant is in
+    the variables of the entries: on the matrices ``_conjugated`` writes
+    in u it comes out in u, and each product is one of polynomials.
     """
     if not isinstance(matrix, SeriesMatrix):
         raise TypeError(f"expected a SeriesMatrix, got {type(matrix).__name__}")
@@ -421,18 +454,21 @@ def _in_y(series: TriSeries) -> TriSeries:
     return _from_ring(trunc, out)
 
 
-def _in_u(series: TriSeries) -> TriSeries:
-    """The inverse of ``_in_y``: a series in x and y written in x and
-    u = y/(1-x), with u in the y slot.  Each term c x^e y^j q^s becomes
-    c x^e u^j q^s (1-x)^j.
+def _in_u(series: TriSeries, shift: int = 0) -> TriSeries:
+    """The inverse of ``_in_y``, times (1-x)^shift: a series in x and y
+    written in x and u = y/(1-x), with u in the y slot.  Each term
+    c x^e y^j q^s becomes c x^e u^j q^s (1-x)^(j+shift).
 
     Terms that share (j, s) form one column, as in ``_in_y``, and each
     column's polynomial in x, from its lowest x-degree up to the order, is
-    multiplied by (1-x)^j as j running differences along x.  The
-    substitution y -> u (1-x) is a ring automorphism of the truncated ring
-    that keeps every x^0 slice, so a unit stays a unit and a quotient
-    written in u is the quotient of the two series written in u.
-    Coefficients that cancel are dropped.
+    multiplied by (1-x)^(j+shift) as j + shift running differences along
+    x.  A term with j + shift < 0 would need a division by 1 - x and
+    raises ValueError.  The substitution y -> u (1-x) is a ring
+    automorphism of the truncated ring that keeps every x^0 slice, so a
+    unit stays a unit and a quotient written in u is the quotient of the
+    two series written in u.  ``shift`` is the factor (1-x)^(i-j) of
+    entry (j, i) of a matrix conjugated by diag((1-x)^i)
+    (``_conjugated``).  Coefficients that cancel are dropped.
     """
     trunc = series.trunc
     columns: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -440,11 +476,15 @@ def _in_u(series: TriSeries) -> TriSeries:
         columns.setdefault((j, s), []).append((e, c))
     out: dict[tuple[int, int, int], int] = {}
     for (j, s), column in columns.items():
+        if j + shift < 0:
+            raise ValueError(
+                f"a term in y^{j} times (1-x)^{shift} is not a polynomial in x and u"
+            )
         low = min(e for e, _c in column)
         run = [0] * (trunc + 1 - low)
         for e, c in column:
             run[e - low] += c
-        for _ in range(j):
+        for _ in range(j + shift):
             run = list(map(sub, run, chain((0,), run)))
         for a, c in enumerate(run, low):
             if c:

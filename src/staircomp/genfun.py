@@ -12,6 +12,7 @@ from math import comb
 
 from .determinants import (
     _check_dim,
+    _conjugated,
     _fraction_in_u,
     _in_u,
     _in_y,
@@ -98,19 +99,18 @@ def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False
     ``denominator_det`` take each determinant's last-row cofactor
     expansion d_m - q x^m u d_{m-1} in x and u = y/(1-x), with d read
     from one ``determinants._recurrence`` sweep per block family, and
-    write it in y.
+    write it in y; ``determinants._in_u`` writes the two back in u.
 
-    Both routes end alike: ``determinants._in_u`` writes the two
-    determinants in u, one long division in x, u and q follows, and
-    ``_in_y`` writes the quotient in y.  The substitution y -> u (1-x) is
-    a ring automorphism of the truncated ring that keeps every x^0 slice,
-    so the quotient is exact and a divisor that is not a unit raises
-    NonUnitError as it would in y.  In u the system determinant is the
-    few-term polynomial d_m - q x^m u d_{m-1}; in y each u^j is the dense
-    y^j (1-x)^-j, so the divisor has a slice at every x-degree.  Each
-    route shares with ``staircase_gf`` the ring, ``divide`` and
-    ``_in_y``, and none of the closed forms ``_top_in_u`` and
-    ``_closing``.  The default route takes its determinants through y
+    Both routes end alike: one long division of the two determinants in
+    x, u and q, and ``_in_y`` writes the quotient in y.  The substitution
+    y -> u (1-x) is a ring automorphism of the truncated ring that keeps
+    every x^0 slice, so the quotient is exact and a divisor that is not a
+    unit raises NonUnitError as it would in y.  In u the system
+    determinant is the few-term polynomial d_m - q x^m u d_{m-1}; in y
+    each u^j is the dense y^j (1-x)^-j, so the divisor has a slice at
+    every x-degree.  Each route shares with ``staircase_gf`` the ring,
+    ``divide`` and ``_in_y``, and none of the closed forms ``_top_in_u``
+    and ``_closing``.  The default route takes its determinants through y
     and back because the benchmark's tracer test expects the edge
     ``genfun.staircase_gf_cramer -> determinants.numerator_det``
     (``bench/test_bench.py``).
@@ -118,22 +118,28 @@ def staircase_gf_cramer(m: int, trunc: int = DEFAULT_TRUNC, direct: bool = False
     ``direct=True`` expands the built matrices with the division-free
     determinant instead (the dimension limit applies, so keep m small on
     that route; a larger m is refused before the system is built).  It
-    expands the system matrix first.  The numerator matrix differs from it
-    only in column 0, and ``with_column`` hands on the minors found there
-    that avoid column 0, the inner m x m block among them; the numerator's
-    expansion then computes only the minors that use its new column.  At
-    m = 7 the route takes 66 series products instead of 110.
+    expands them conjugated into u (``determinants._conjugated``):
+    S^-1 A S with y written as u (1-x) and S = diag(1, 1-x, ...,
+    (1-x)^m).  A similarity keeps the determinant, so both come out in
+    u, and every entry is a polynomial of at most three terms: the
+    superdiagonal z = -1/(1-x), a dense series in y, becomes -1.  It
+    expands the system matrix first.  The numerator matrix differs from
+    it only in column 0, and ``with_column`` hands on the minors found
+    there that avoid column 0, the inner m x m block among them; the
+    numerator's expansion then computes only the minors that use its new
+    column.  At m = 7 the route takes 66 products of polynomials instead
+    of 110.
     """
     _validate(m, trunc)
     if direct:
         _check_dim(m + 1)
-        matrix, rhs = build_system(m, trunc)
+        matrix, rhs = _conjugated(*build_system(m, trunc))
         det_sys = det_division_free(matrix)
         det_num = det_division_free(matrix.with_column(0, rhs))
     else:
-        det_num = numerator_det(m, trunc)
-        det_sys = denominator_det(m, trunc)
-    return _in_y(_in_u(det_num).divide(_in_u(det_sys)))
+        det_num = _in_u(numerator_det(m, trunc))
+        det_sys = _in_u(denominator_det(m, trunc))
+    return _in_y(det_num.divide(det_sys))
 
 
 def gf_at_q1(m: int, trunc: int = DEFAULT_TRUNC) -> TriSeries:

@@ -28,8 +28,10 @@ v = 2**bits it packs the q-degrees into the coefficients as base-2**bits
 digits, and the private ``_split_q_digits`` reads them back.  That split
 is exact only when the series before packing had every coefficient in
 [0, 2**bits): then no digit carries into the next, and the digits of a
-non-negative int are unique.  The split cannot check this itself; its
-caller must know the bound.
+non-negative int are unique.  A negative packed coefficient has no such
+digits, and the split raises ``DigitSplitError`` naming its key; a
+coefficient that reached 2**bits before packing carried into the next
+digit, which the split cannot see, so its caller must know that bound.
 
 A series is built in one of two ways.  Public construction, ``TriSeries``
 and the helpers ``zero``, ``one``, ``monomial`` and ``from_json_obj``,
@@ -63,6 +65,12 @@ but the comparisons are between int triples, not between pairs."""
 class NonUnitError(ArithmeticError):
     """Raised when a divisor (of ``divide``, or the series ``inverse``
     inverts) is not a unit of the ring: its x^0 slice is not +1 or -1."""
+
+
+class DigitSplitError(ArithmeticError):
+    """Raised when ``_split_q_digits`` meets a negative packed coefficient,
+    which has no base-2**bits digits; a fault that flips a sign in a
+    fraction whose quotient is packed gives one."""
 
 
 class TriSeries:
@@ -379,15 +387,20 @@ def _split_q_digits(packed: TriSeries, bits: int) -> TriSeries:
     in [0, 2**bits): each coefficient of x^a y^b is read as a number in
     base 2**bits, and its digit s becomes the coefficient of x^a y^b q^s.
 
-    Precondition: ``packed`` has no q term and no negative coefficient.
-    Then the digits are unique, so G is the only such series; whether G is
-    the series the caller wants depends on the caller knowing that its
+    Precondition: ``packed`` has no q term.  A negative coefficient has
+    no digits, and raises DigitSplitError naming its key.  Otherwise the
+    digits are unique, so G is the only such series; whether G is the
+    series the caller wants depends on the caller knowing that its
     coefficients lie in [0, 2**bits).  A run of zero digits is skipped in
     one shift, found from the lowest set bit, not one digit at a time.
     """
     mask = (1 << bits) - 1
     out: dict[Key, int] = {}
     for (a, b, _s), v in packed._terms.items():
+        if v < 0:
+            raise DigitSplitError(
+                f"coefficient {v} of x^{a} y^{b} is negative: it has no base-2^{bits} digits"
+            )
         s = 0
         while v:
             digit = v & mask

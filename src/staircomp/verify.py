@@ -48,8 +48,10 @@ a fault in it can still show in the block check, since the two sides
 reach the same term through different sums.
 
 ``staircomp verify`` reports a check that raises ``series.NonUnitError``
-as that check's failure: a divisor whose x^0 slice is not a unit is what
-a fault in a determinant's constant term gives.
+or ``series.DigitSplitError`` as that check's failure: a divisor whose
+x^0 slice is not a unit is what a fault in a determinant's constant term
+gives, and a negative packed coefficient, which has no base-2^trunc
+digits, what a sign fault in the closed-form fraction gives.
 
 ``check_gf_vs_oracle`` reads each census once anyway.  ``check_totals``
 reads each one once per part count, so it alone opens

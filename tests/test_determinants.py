@@ -411,6 +411,50 @@ def test_in_y_undoes_in_u(series):
     assert all(c for _key, c in got.terms())
 
 
+@given(series_in_u(), st.integers(0, 6))
+@settings(max_examples=100)
+def test_in_u_with_a_shift_is_a_product_by_a_power_of_one_minus_x(series, shift):
+    x, _, _ = variables(series.trunc)
+    want = determinants._in_u(series) * (one(series.trunc) - x) ** shift
+    assert determinants._in_u(series, shift) == want
+
+
+def test_in_u_refuses_a_negative_power_of_one_minus_x():
+    # x^2 y (1-x)^-1 is x^2 u, but x^2 y (1-x)^-2 is x^2 u / (1-x).
+    lone = monomial(2, 1, 0, 3, N)
+    assert determinants._in_u(lone, -1) == lone
+    for series in (lone, lone + monomial(1, 3, 0, 1, N)):
+        with pytest.raises(ValueError, match=r"y\^1 times \(1-x\)\^-2"):
+            determinants._in_u(series, -2)
+
+
+CONJUGATION_ORDERS = (1, 2, 3, 7, N, 20, 30)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_conjugated_system_has_the_determinants_in_u(m):
+    # A similarity keeps the determinant; a scaling of rows or columns
+    # that is not one would change both determinants but not their ratio.
+    for trunc in CONJUGATION_ORDERS:
+        matrix, rhs = build_system(m, trunc)
+        conjugated, conjugated_rhs = determinants._conjugated(matrix, rhs)
+        in_u = determinants._in_u
+        assert det_division_free(conjugated) == in_u(det_division_free(matrix)), trunc
+        assert det_division_free(conjugated.with_column(0, conjugated_rhs)) == in_u(
+            det_division_free(numerator_matrix(m, trunc))
+        ), trunc
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_conjugated_entries_are_polynomials_of_at_most_three_terms(m):
+    for trunc in CONJUGATION_ORDERS:
+        conjugated, conjugated_rhs = determinants._conjugated(*build_system(m, trunc))
+        entries = [conjugated[j, i] for j in range(m + 1) for i in range(m + 1)]
+        assert all(len(list(entry.terms())) <= 3 for entry in entries + conjugated_rhs), trunc
+        # z = -1/(1-x), on the superdiagonal, becomes -1.
+        assert all(conjugated[j, j + 1] == -one(trunc) for j in range(m)), trunc
+
+
 @st.composite
 def unit_divisor(draw, trunc):
     """A series in x, y and q whose x^0 slice is the constant +1 or -1,

@@ -76,6 +76,16 @@ def _top_with_constant_two(top_in_u):
     return lambda m, trunc: top_in_u(m, trunc) + one(trunc)
 
 
+def _fraction_with_plus_q(fraction_in_u):
+    # D's term -q x^C(m+1,2) u^m with its sign flipped: the packed
+    # quotient then has negative coefficients, which have no digits.
+    def fault(m, trunc):
+        num, den = fraction_in_u(m, trunc)
+        return num, den + monomial(comb(m + 1, 2), m, 1, 2, trunc)
+
+    return fault
+
+
 def _totals_off_at_m_plus_one(total_staircases):
     # The scalar totals formula one too high at parts = m + 1.
     return lambda n, parts, m: total_staircases(n, parts, m) + (parts == m + 1)
@@ -92,9 +102,9 @@ def _in_y_without_high_columns(in_y):
 
 def _in_u_without_high_columns(in_u):
     # Every column of terms in y^j with j >= 3 dropped.
-    def fault(series):
+    def fault(series, shift=0):
         kept = {key: c for key, c in series._terms.items() if key[1] < 3}
-        return in_u(TriSeries(series.trunc, kept))
+        return in_u(TriSeries(series.trunc, kept), shift)
 
     return fault
 
@@ -148,12 +158,17 @@ def _sweep_step_lowered(recurrence):
      {CRAMER}),
     ("_in_u", _in_u_without_high_columns, ["--m", "3", "--max-n", "10"], set()),
     ("_recurrence", _sweep_step_lowered, ["--m", "3", "--max-n", "10"], {CRAMER, BLOCKS}),
+    # The closed form's packed quotient then has negative coefficients,
+    # so the two checks that split it report DigitSplitError; at q = 1
+    # the flipped term no longer cancels, so the marginals see it too.
+    ("_fraction_in_u", _fraction_with_plus_q, ["--m", "2", "--max-n", "10"],
+     {ENUMERATION, CRAMER, MARGINALS}),
     ("total_staircases", _totals_off_at_m_plus_one, ["--m", "3", "--max-n", "10"], {TOTALS}),
     ("_shifted_sum", _shifted_sum_short_at_the_order, ["--m", "3", "--max-n", "10"], {BLOCKS}),
     ("_shifted_sum", _shifted_sum_short_at_the_order,
      ["--m", "4", "--max-n", "12", "--trunc", "20"], {BLOCKS}),
 ], ids=["top-in-u-n12", "top-in-u-n20", "top-in-u-t20", "closing", "in-y", "in-u-t20",
-        "in-u-m3", "sweep-step", "totals", "shifted-sum", "shifted-sum-t20"])
+        "in-u-m3", "sweep-step", "plus-q", "totals", "shifted-sum", "shifted-sum-t20"])
 def test_verify_reports_a_planted_fault(monkeypatch, name, make_fault, argv, failing):
     # A row whose set is empty pins a fault that survives every check.
     _plant(monkeypatch, name, make_fault)

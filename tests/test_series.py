@@ -1,6 +1,7 @@
 """Ring operations of the truncated trivariate series."""
 
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from staircomp import determinants
 from staircomp.series import (
+    DigitSplitError,
     NonUnitError,
     TriSeries,
     _format_term,
@@ -232,6 +234,16 @@ def test_digit_split_of_non_negative_coefficients(f, bits):
 def test_digit_split_skips_runs_of_zero_digits():
     packed = TriSeries(N, {(2, 1, 0): (5 << 700) + 3, (4, 0, 0): 1 << 60})
     assert _split_q_digits(packed, 7) == TriSeries(N, {(2, 1, 0): 3, (2, 1, 100): 5, (4, 0, 8): 16})
+
+
+def test_digit_split_refuses_a_negative_coefficient():
+    # A negative int has no base-2^bits digits; shifting it right ends at
+    # -1, never at 0, so without the check the split never returns.
+    message = "coefficient -5 of x^1 y^1 is negative: it has no base-2^4 digits"
+    for packed in (TriSeries(3, {(1, 1, 0): -5}), TriSeries(3, {(0, 0, 0): 7, (1, 1, 0): -5})):
+        with pytest.raises(DigitSplitError, match=f"^{re.escape(message)}$"):
+            _split_q_digits(packed, 4)
+    assert issubclass(DigitSplitError, ArithmeticError)
 
 
 def test_digit_split_skips_a_long_run_of_zero_digits_in_one_shift():
